@@ -174,7 +174,43 @@ let latency_cmd =
   Cmd.v (Cmd.info "latency" ~doc)
     Term.(const run $ disk_arg $ host_arg $ util_arg $ vld_arg $ quick_arg)
 
-(* --- faults --- *)
+(* --- the crash/fault sweeps --- *)
+
+let repro_arg example =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "repro" ] ~docv:"SPEC"
+        ~doc:("rerun exactly one cell, as printed by a failure: " ^ example))
+
+(* One report and one [--repro] path for every sweep: [--repro] parses
+   the spec strictly against [base] and reruns that cell alone; without
+   it the config [matrix ()] runs on [jobs] workers.  A clean run prints
+   [ok_line]; a failing one prints every violation with its repro string
+   and exits 1. *)
+let run_sweep ?(verdicts = false) ~noun ~ok_line sweep ~base ~jobs ~repro matrix =
+  let report (o : Fault.Cell.outcome) =
+    if verdicts then
+      List.iter (fun (c, v) -> Printf.printf "cell %s: %s\n" c v) o.verdicts;
+    Printf.printf "%d %s (%d faults injected): %s\n" o.cells noun o.injected
+      (String.concat ", "
+         (List.map (fun (k, n) -> Printf.sprintf "%d %s" n k) o.counters));
+    if o.failures = [] then print_endline ok_line
+    else begin
+      List.iter
+        (fun fl -> Format.printf "FAILED %a@." Fault.Cell.pp_failure fl)
+        o.failures;
+      exit 1
+    end
+  in
+  match repro with
+  | Some spec -> (
+    match Fault.Cell.parse sweep base spec with
+    | Error e ->
+      Printf.eprintf "vlsim: %s\n" e;
+      exit 2
+    | Ok (cfg, cell) -> report (Fault.Cell.run_one sweep cfg cell))
+  | None -> report (Fault.Cell.run ~jobs sweep (matrix ()))
 
 let faults_cmd =
   let doc =
@@ -202,98 +238,60 @@ let faults_cmd =
       value & opt int 22
       & info [ "triggers" ] ~doc:"operation boundaries swept per fault kind")
   in
-  let repro_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repro" ] ~docv:"SPEC"
-          ~doc:
-            "rerun exactly one failing cell, as printed by a failure: \
-             seed=7101,kind=torn,trigger=5,tail=true,case=37")
-  in
-  let report o =
-    Printf.printf
-      "%d scenarios (%d faults injected): %d power cuts, %d degraded recoveries\n"
-      o.Fault.Sweep.scenarios o.Fault.Sweep.injected o.Fault.Sweep.cut
-      o.Fault.Sweep.degraded;
-    if o.Fault.Sweep.failures = [] then print_endline "all invariants satisfied"
-    else begin
+  let matrix plan seed triggers quick () =
+    let kinds, errors =
+      List.fold_right
+        (fun s (ks, es) ->
+          match Fault.Plan.kind_of_string (String.trim s) with
+          | Ok k -> (k :: ks, es)
+          | Error e -> (ks, e :: es))
+        (String.split_on_char ',' plan)
+        ([], [])
+    in
+    if errors <> [] then begin
+      List.iter (Printf.eprintf "vlsim: %s\n") errors;
+      exit 2
+    end;
+    (match List.filter Fault.Plan.is_drive_kind kinds with
+    | [] -> ()
+    | drive ->
       List.iter
-        (fun fl -> Format.printf "FAILED %a@." Fault.Sweep.pp_failure fl)
-        o.Fault.Sweep.failures;
-      exit 1
-    end
+        (fun k ->
+          Printf.eprintf
+            "vlsim: %s is a whole-drive fault; this single-spindle sweep \
+             cannot express it — use vlsim fssweep, whose volume rigs \
+             inject it into one mirror leg\n"
+            (Fault.Plan.kind_to_string k))
+        drive;
+      exit 2);
+    (match List.filter Fault.Plan.is_nvm_kind kinds with
+    | [] -> ()
+    | nvm ->
+      List.iter
+        (fun k ->
+          Printf.eprintf
+            "vlsim: %s strikes an NVM staging tier; this single-spindle \
+             sweep has none — use vlsim fssweep, whose nvm rigs judge the \
+             staged persistence boundary\n"
+            (Fault.Plan.kind_to_string k))
+        nvm;
+      exit 2);
+    {
+      Fault.Sweep.default with
+      Fault.Sweep.seed = Int64.of_int seed;
+      kinds;
+      triggers = (if quick then min triggers 6 else triggers);
+    }
   in
   let run plan seed triggers quick jobs repro =
-    match repro with
-    | Some spec -> (
-      match Fault.Sweep.parse_repro spec with
-      | Error e ->
-        Printf.eprintf "vlsim: %s\n" e;
-        exit 2
-      | Ok (seed_override, kind, trigger, with_tail, case) ->
-        let cfg =
-          {
-            Fault.Sweep.default with
-            Fault.Sweep.seed =
-              Option.value seed_override ~default:(Int64.of_int seed);
-          }
-        in
-        report (Fault.Sweep.run_scenario cfg ~kind ~trigger ~with_tail ~case))
-    | None ->
-      let kinds, errors =
-        List.fold_right
-          (fun s (ks, es) ->
-            match Fault.Plan.kind_of_string (String.trim s) with
-            | Ok k -> (k :: ks, es)
-            | Error e -> (ks, e :: es))
-          (String.split_on_char ',' plan)
-          ([], [])
-      in
-      if errors <> [] then begin
-        List.iter (Printf.eprintf "vlsim: %s\n") errors;
-        exit 2
-      end;
-      (match List.filter Fault.Plan.is_drive_kind kinds with
-      | [] -> ()
-      | drive ->
-        List.iter
-          (fun k ->
-            Printf.eprintf
-              "vlsim: %s is a whole-drive fault; this single-spindle sweep \
-               cannot express it — use vlsim fssweep, whose volume rigs \
-               inject it into one mirror leg\n"
-              (Fault.Plan.kind_to_string k))
-          drive;
-        exit 2);
-      (match List.filter Fault.Plan.is_nvm_kind kinds with
-      | [] -> ()
-      | nvm ->
-        List.iter
-          (fun k ->
-            Printf.eprintf
-              "vlsim: %s strikes an NVM staging tier; this single-spindle \
-               sweep has none — use vlsim fssweep, whose nvm rigs judge the \
-               staged persistence boundary\n"
-              (Fault.Plan.kind_to_string k))
-          nvm;
-        exit 2);
-      let cfg =
-        {
-          Fault.Sweep.default with
-          Fault.Sweep.seed = Int64.of_int seed;
-          kinds;
-          triggers = (if quick then min triggers 6 else triggers);
-        }
-      in
-      report (Fault.Sweep.run ~jobs cfg)
+    run_sweep ~noun:"scenarios" ~ok_line:"all invariants satisfied"
+      Fault.Sweep.sweep ~base:Fault.Sweep.default ~jobs ~repro
+      (matrix plan seed triggers quick)
   in
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(
       const run $ plan_arg $ seed_arg $ triggers_arg $ quick_arg $ jobs_arg
-      $ repro_arg)
-
-(* --- fssweep --- *)
+      $ repro_arg "seed=7101,kind=torn,trigger=5,tail=true,case=37")
 
 let fssweep_cmd =
   let doc =
@@ -307,58 +305,16 @@ let fssweep_cmd =
       value & opt int 9203
       & cli_info Vlog_util.Cli.seed ~doc:"master seed for the sweep")
   in
-  let repro_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repro" ] ~docv:"SPEC"
-          ~doc:
-            "rerun exactly one failing cell, as printed by a failure: \
-             rig=ufs/vld,seed=9203,kind=torn,trigger=5,case=37")
-  in
-  let report o =
-    Printf.printf
-      "%d scenarios (%d faults injected): %d power cuts, %d degraded \
-       recoveries, %d oracle checks\n"
-      o.Check.Fs_sweep.scenarios o.Check.Fs_sweep.injected o.Check.Fs_sweep.cut
-      o.Check.Fs_sweep.degraded_mounts o.Check.Fs_sweep.oracle_checks;
-    if o.Check.Fs_sweep.failures = [] then
-      print_endline "all file systems recovered consistently"
-    else begin
-      List.iter
-        (fun fl -> Format.printf "FAILED %a@." Check.Fs_sweep.pp_failure fl)
-        o.Check.Fs_sweep.failures;
-      exit 1
-    end
-  in
   let run seed quick jobs repro =
-    match repro with
-    | Some spec -> (
-      match Check.Fs_sweep.parse_repro spec with
-      | Error e ->
-        Printf.eprintf "vlsim: %s\n" e;
-        exit 2
-      | Ok (rig, seed_override, kind, trigger, case) ->
-        let cfg =
-          {
-            Check.Fs_sweep.default with
-            Check.Fs_sweep.seed =
-              Option.value seed_override ~default:(Int64.of_int seed);
-          }
-        in
-        report (Check.Fs_sweep.run_cell cfg ~rig ~kind ~trigger ~case))
-    | None ->
-      let cfg =
-        if quick then Check.Fs_sweep.smoke else Check.Fs_sweep.default
-      in
-      report
-        (Check.Fs_sweep.run ~jobs
-           { cfg with Check.Fs_sweep.seed = Int64.of_int seed })
+    let open Check.Fs_sweep in
+    run_sweep ~noun:"scenarios" ~ok_line:"all file systems recovered consistently"
+      sweep ~base:default ~jobs ~repro (fun () ->
+        { (if quick then smoke else default) with seed = Int64.of_int seed })
   in
   Cmd.v (Cmd.info "fssweep" ~doc)
-    Term.(const run $ seed_arg $ quick_arg $ jobs_arg $ repro_arg)
-
-(* --- arraysweep --- *)
+    Term.(
+      const run $ seed_arg $ quick_arg $ jobs_arg
+      $ repro_arg "rig=ufs/vld,seed=9203,kind=torn,trigger=5,case=37")
 
 let arraysweep_cmd =
   let doc =
@@ -374,68 +330,25 @@ let arraysweep_cmd =
       value & opt int 9203
       & cli_info Vlog_util.Cli.seed ~doc:"master seed for the sweep")
   in
-  let repro_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repro" ] ~docv:"SPEC"
-          ~doc:
-            "rerun exactly one cell, as printed by a failure: \
-             array=raid10,seed=9203,fault=death,depth=4,phase=rebuild,case=37")
-  in
   let verdicts_arg =
     Arg.(
       value & flag
       & info [ "verdicts" ]
           ~doc:"print one verdict line per cell (the CI determinism probe)")
   in
-  let report ~verdicts o =
-    if verdicts then
-      List.iter
-        (fun (c, v) -> Printf.printf "cell %s: %s\n" c v)
-        o.Check.Array_sweep.verdicts;
-    Printf.printf
-      "%d cells (%d faults injected): %d honest data losses, %d recoveries, \
-       %d oracle checks\n"
-      o.Check.Array_sweep.cells o.Check.Array_sweep.injected
-      o.Check.Array_sweep.data_loss o.Check.Array_sweep.recovered
-      o.Check.Array_sweep.oracle_checks;
-    if o.Check.Array_sweep.failures = [] then
-      print_endline "every cell reported a verdict and no fault was masked"
-    else begin
-      List.iter
-        (fun fl -> Format.printf "FAILED %a@." Check.Array_sweep.pp_failure fl)
-        o.Check.Array_sweep.failures;
-      exit 1
-    end
-  in
   let run seed quick jobs repro verdicts =
-    match repro with
-    | Some spec -> (
-      match Check.Array_sweep.parse_repro spec with
-      | Error e ->
-        Printf.eprintf "vlsim: %s\n" e;
-        exit 2
-      | Ok (array, seed_override, fault, depth, phase, case) ->
-        let cfg =
-          {
-            Check.Array_sweep.default with
-            Check.Array_sweep.seed =
-              Option.value seed_override ~default:(Int64.of_int seed);
-          }
-        in
-        report ~verdicts
-          (Check.Array_sweep.run_cell cfg ~array ~fault ~depth ~phase ~case))
-    | None ->
-      let cfg =
-        if quick then Check.Array_sweep.smoke else Check.Array_sweep.default
-      in
-      report ~verdicts
-        (Check.Array_sweep.run ~jobs
-           { cfg with Check.Array_sweep.seed = Int64.of_int seed })
+    let open Check.Array_sweep in
+    run_sweep ~verdicts ~noun:"cells"
+      ~ok_line:"every cell reported a verdict and no fault was masked" sweep
+      ~base:default ~jobs ~repro (fun () ->
+        { (if quick then smoke else default) with seed = Int64.of_int seed })
   in
   Cmd.v (Cmd.info "arraysweep" ~doc)
-    Term.(const run $ seed_arg $ quick_arg $ jobs_arg $ repro_arg $ verdicts_arg)
+    Term.(
+      const run $ seed_arg $ quick_arg $ jobs_arg
+      $ repro_arg
+          "array=raid10,seed=9203,fault=death,depth=4,phase=rebuild,case=37"
+      $ verdicts_arg)
 
 (* --- volume --- *)
 

@@ -116,34 +116,27 @@ let exn = function Ok v -> v | Error e -> raise (Io_error e)
    submit-then-drain through the device's queue: unmodified file systems
    are depth-1 hosts of the async interface and fail stop rather than
    consume corrupt data. *)
-module Exn = struct
-  let ack_of tag acks =
-    match List.assoc_opt tag acks with
-    | Some a -> a
-    | None -> invalid_arg "Device: drained tag has no completion"
+let ack_of tag acks =
+  match List.assoc_opt tag acks with
+  | Some a -> a
+  | None -> invalid_arg "Device: drained tag has no completion"
 
-  let data = function
-    | Data (d, c) -> (d, Vlog_util.Io.bd c)
-    | Done _ -> invalid_arg "Device: read completed without data"
+let data = function
+  | Data (d, c) -> (d, Vlog_util.Io.bd c)
+  | Done _ -> invalid_arg "Device: read completed without data"
 
-  let done_ = function
-    | Done c -> Vlog_util.Io.bd c
-    | Data _ -> invalid_arg "Device: write completed with data"
+let done_ = function
+  | Done c -> Vlog_util.Io.bd c
+  | Data _ -> invalid_arg "Device: write completed with data"
 
-  let rw t req =
-    let tag = t.submit req in
-    exn (ack_of tag (t.drain ()))
+let rw t req =
+  let tag = t.submit req in
+  exn (ack_of tag (t.drain ()))
 
-  let read t block = data (rw t (Read block))
-  let read_run t block count = data (rw t (Read_run (block, count)))
-  let write t block buf = done_ (rw t (Write (block, buf)))
-  let write_run t block buf = done_ (rw t (Write_run (block, buf)))
-end
-
-let read = Exn.read
-let read_run = Exn.read_run
-let write = Exn.write
-let write_run = Exn.write_run
+let read t block = data (rw t (Read block))
+let read_run t block count = data (rw t (Read_run (block, count)))
+let write t block buf = done_ (rw t (Write (block, buf)))
+let write_run t block buf = done_ (rw t (Write_run (block, buf)))
 
 let advance_idle ~clock t dt =
   let until = Vlog_util.Clock.now clock +. dt in

@@ -17,7 +17,7 @@
     triple: [submit] enqueues a request and returns a tag, [poll]
     collects finished (tag, ack) pairs, and [drain] is a barrier that
     services everything outstanding.  The exception-style wrappers
-    ({!Exn}, re-exported at toplevel) are derived {e once} as
+    ({!read}, {!write}, ...) are derived {e once} as
     submit-then-drain over this interface, so a file system calling
     {!read} is just a queue-depth-1 host of the async API.  Most devices
     implement the triple with {!sync_queue} (host-side FIFO, service at
@@ -138,21 +138,13 @@ val exn : ('a, io_error) result -> 'a
 (** [exn r] is [v] when [r = Ok v]; raises {!Io_error} otherwise.  The
     single point all exception-style access is derived from. *)
 
-(** The raising breakdown-typed wrappers, derived once for all devices
-    as submit-then-drain over the queue interface. *)
-module Exn : sig
-  val read : t -> int -> Bytes.t * Vlog_util.Breakdown.t
-  val read_run : t -> int -> int -> Bytes.t * Vlog_util.Breakdown.t
-  val write : t -> int -> Bytes.t -> Vlog_util.Breakdown.t
-  val write_run : t -> int -> Bytes.t -> Vlog_util.Breakdown.t
-end
-
 val read : t -> int -> Bytes.t * Vlog_util.Breakdown.t
 val read_run : t -> int -> int -> Bytes.t * Vlog_util.Breakdown.t
 val write : t -> int -> Bytes.t -> Vlog_util.Breakdown.t
 val write_run : t -> int -> Bytes.t -> Vlog_util.Breakdown.t
-(** Aliases of {!Exn}'s wrappers, kept at toplevel for call-site
-    brevity. *)
+(** The raising breakdown-typed wrappers, derived once for all devices
+    as submit-then-drain over the queue interface: {!Io_error} on
+    failure. *)
 
 val advance_idle : clock:Vlog_util.Clock.t -> t -> float -> unit
 (** Grant [dt] ms of idle time and then advance the clock to the end of

@@ -80,7 +80,6 @@ let default =
 let smoke =
   {
     default with
-    rounds = 8;
     faults =
       [
         F_drive Fault.Plan.Drive_death;
@@ -103,106 +102,13 @@ let included array fault phase =
   | A_raid10, F_double_death, P_rebuild -> false
   | _ -> true
 
-(* ---- Failures / outcome ---- *)
-
-type failure = {
-  f_array : string;
-  f_seed : int64;
-  f_fault : fault;
-  f_depth : int;
-  f_phase : phase;
-  f_case : int;
-  message : string;
+type cell = {
+  array : array_config;
+  fault : fault;
+  depth : int;
+  phase : phase;
+  case : int;
 }
-
-let coords ~array ~seed ~fault ~depth ~phase ~case =
-  Printf.sprintf "array=%s,seed=%Ld,fault=%s,depth=%d,phase=%s,case=%d"
-    (array_to_string array) seed (fault_to_string fault) depth
-    (phase_to_string phase) case
-
-let repro_of_failure f =
-  Printf.sprintf "array=%s,seed=%Ld,fault=%s,depth=%d,phase=%s,case=%d"
-    f.f_array f.f_seed (fault_to_string f.f_fault) f.f_depth
-    (phase_to_string f.f_phase) f.f_case
-
-let parse_repro s =
-  let ( let* ) = Result.bind in
-  let kvs =
-    List.filter_map
-      (fun part ->
-        match String.index_opt part '=' with
-        | None -> None
-        | Some i ->
-          Some
-            ( String.sub part 0 i,
-              String.sub part (i + 1) (String.length part - i - 1) ))
-      (String.split_on_char ',' (String.trim s))
-  in
-  let find k = List.assoc_opt k kvs in
-  let req k =
-    match find k with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "repro spec is missing %s=" k)
-  in
-  let* array = Result.bind (req "array") array_of_string in
-  let* fault = Result.bind (req "fault") fault_of_string in
-  let* phase = Result.bind (req "phase") phase_of_string in
-  let* depth =
-    let* v = req "depth" in
-    match int_of_string_opt v with
-    | Some d when d > 0 -> Ok d
-    | _ -> Error (Printf.sprintf "bad depth in %S" s)
-  in
-  let* case =
-    let* v = req "case" in
-    match int_of_string_opt v with
-    | Some c when c > 0 -> Ok c
-    | _ -> Error (Printf.sprintf "bad case in %S" s)
-  in
-  let* seed =
-    match find "seed" with
-    | None -> Ok None
-    | Some v -> (
-      match Int64.of_string_opt v with
-      | Some sd -> Ok (Some sd)
-      | None -> Error (Printf.sprintf "bad seed in %S" s))
-  in
-  Ok (array, seed, fault, depth, phase, case)
-
-let pp_failure ppf f =
-  Format.fprintf ppf "@[<v 2>FAIL %s@,%s@]" (repro_of_failure f) f.message
-
-type outcome = {
-  cells : int;
-  injected : int;
-  data_loss : int;
-  recovered : int;
-  oracle_checks : int;
-  verdicts : (string * string) list;
-  failures : failure list;
-}
-
-let zero =
-  {
-    cells = 0;
-    injected = 0;
-    data_loss = 0;
-    recovered = 0;
-    oracle_checks = 0;
-    verdicts = [];
-    failures = [];
-  }
-
-let merge a b =
-  {
-    cells = a.cells + b.cells;
-    injected = a.injected + b.injected;
-    data_loss = a.data_loss + b.data_loss;
-    recovered = a.recovered + b.recovered;
-    oracle_checks = a.oracle_checks + b.oracle_checks;
-    verdicts = a.verdicts @ b.verdicts;
-    failures = a.failures @ b.failures;
-  }
 
 (* ---- Rig plumbing ---- *)
 
@@ -271,7 +177,7 @@ let loss_required array fault phase =
   | (A_svld | A_sreg), F_drive Fault.Plan.Drive_death, _ -> true
   | _ -> false
 
-let run_cell (c : config) ~array ~fault ~depth ~phase ~case =
+let run_cell (c : config) { array; fault; depth; phase; case } =
   let scenario_seed = Int64.add c.seed (Int64.of_int (case * 7919)) in
   let prng = Prng.create ~seed:scenario_seed in
   let layout, leg_kind = shape array in
@@ -293,22 +199,7 @@ let run_cell (c : config) ~array ~fault ~depth ~phase ~case =
   in
   let bb = Volume.block_bytes vol in
   let fails = ref [] in
-  let failf fmt =
-    Printf.ksprintf
-      (fun message ->
-        fails :=
-          {
-            f_array = array_to_string array;
-            f_seed = c.seed;
-            f_fault = fault;
-            f_depth = depth;
-            f_phase = phase;
-            f_case = case;
-            message;
-          }
-          :: !fails)
-      fmt
-  in
+  let failf fmt = Printf.ksprintf (fun m -> fails := m :: !fails) fmt in
   let now () = Clock.now clock in
   (* Oracle model: block b <-> single-block file "b%03d". *)
   let oracle = Oracle.create ~sector_bytes:(sector_bytes c) in
@@ -526,20 +417,16 @@ let run_cell (c : config) ~array ~fault ~depth ~phase ~case =
     failf
       "fault was masked: this cell destroys data beyond redundancy, yet \
        every block read back and recovery succeeded";
-  let verdict =
-    if !fails <> [] then "failed"
-    else if loss_observed then "data-loss"
-    else "ok"
-  in
   {
-    cells = 1;
-    injected = (if injected then 1 else 0);
-    data_loss = (if loss_observed && !fails = [] then 1 else 0);
-    recovered = !recovered;
-    oracle_checks = !oracle_checks;
-    verdicts =
-      [ (coords ~array ~seed:c.seed ~fault ~depth ~phase ~case, verdict) ];
-    failures = List.rev !fails;
+    Fault.Cell.injected;
+    loss = loss_observed;
+    counters =
+      [
+        ("honest data losses", if loss_observed && !fails = [] then 1 else 0);
+        ("recoveries", !recovered);
+        ("oracle checks", !oracle_checks);
+      ];
+    violations = List.rev !fails;
   }
 
 (* ---- The matrix ---- *)
@@ -557,7 +444,7 @@ let cells (c : config) =
                 (fun phase ->
                   if included array fault phase then begin
                     incr case;
-                    cells := (array, fault, depth, phase, !case) :: !cells
+                    cells := { array; fault; depth; phase; case = !case } :: !cells
                   end)
                 c.phases)
             c.depths)
@@ -565,37 +452,32 @@ let cells (c : config) =
     c.arrays;
   List.rev !cells
 
-let worker_failure (c : config) (array, fault, depth, phase, case) reason =
-  {
-    zero with
-    cells = 1;
-    verdicts =
-      [ (coords ~array ~seed:c.seed ~fault ~depth ~phase ~case, "failed") ];
-    failures =
-      [
-        {
-          f_array = array_to_string array;
-          f_seed = c.seed;
-          f_fault = fault;
-          f_depth = depth;
-          f_phase = phase;
-          f_case = case;
-          message = Par.reason_to_string reason;
-        };
-      ];
-  }
+let coords (c : config) cl =
+  [
+    ("array", array_to_string cl.array);
+    ("seed", Int64.to_string c.seed);
+    ("fault", fault_to_string cl.fault);
+    ("depth", string_of_int cl.depth);
+    ("phase", phase_to_string cl.phase);
+    ("case", string_of_int cl.case);
+  ]
 
-let run ?(jobs = 1) ?(timeout_s = 300.) ?cell (c : config) =
-  let cell_fn = match cell with None -> run_cell | Some f -> f in
-  let cells = cells c in
-  let results =
-    Par.map ~timeout_s ~jobs
-      (fun (array, fault, depth, phase, case) ->
-        cell_fn c ~array ~fault ~depth ~phase ~case)
-      cells
-  in
-  List.fold_left2
-    (fun acc cl -> function
-      | Ok o -> merge acc o
-      | Error (e : Par.error) -> merge acc (worker_failure c cl e.Par.reason))
-    zero cells results
+let decode (c : config) get =
+  let ( let* ) = Result.bind in
+  let* array = array_of_string (get "array") in
+  let* seed = Fault.Cell.int64 get "seed" in
+  let* fault = fault_of_string (get "fault") in
+  let* depth = Fault.Cell.pos_int get "depth" in
+  let* phase = phase_of_string (get "phase") in
+  let* case = Fault.Cell.pos_int get "case" in
+  Ok ({ c with seed }, { array; fault; depth; phase; case })
+
+let sweep =
+  {
+    Fault.Cell.keys = [ "array"; "seed"; "fault"; "depth"; "phase"; "case" ];
+    counters = [ "honest data losses"; "recoveries"; "oracle checks" ];
+    cells;
+    coords;
+    decode;
+    run_cell;
+  }

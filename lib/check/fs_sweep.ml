@@ -211,91 +211,7 @@ let smoke =
     wal_rigs = [ { fs = F_ufs; on = D_nvm W_vld } ];
   }
 
-type failure = {
-  f_rig : string;
-  f_seed : int64;
-  f_kind : Fault.Plan.kind;
-  f_trigger : int;
-  f_case : int;
-  message : string;
-}
-
-let repro_of_failure f =
-  Printf.sprintf "rig=%s,seed=%Ld,kind=%s,trigger=%d,case=%d" f.f_rig f.f_seed
-    (Fault.Plan.kind_to_string f.f_kind)
-    f.f_trigger f.f_case
-
-let pp_failure ppf f =
-  Format.fprintf ppf "[%s %s trigger=%d] %s (--repro %s)" f.f_rig
-    (Fault.Plan.kind_to_string f.f_kind)
-    f.f_trigger f.message (repro_of_failure f)
-
-let parse_repro spec =
-  let ( let* ) = Result.bind in
-  List.fold_left
-    (fun acc field ->
-      let* rig, seed, kind, trigger, case = acc in
-      match String.index_opt field '=' with
-      | None -> Error (Printf.sprintf "malformed repro field %S" field)
-      | Some i -> (
-        let k = String.sub field 0 i in
-        let v = String.sub field (i + 1) (String.length field - i - 1) in
-        match k with
-        | "rig" ->
-          let* r = rig_of_string v in
-          Ok (Some r, seed, kind, trigger, case)
-        | "seed" -> (
-          match Int64.of_string_opt v with
-          | Some s -> Ok (rig, Some s, kind, trigger, case)
-          | None -> Error (Printf.sprintf "bad seed %S" v))
-        | "kind" ->
-          let* kd = Fault.Plan.kind_of_string v in
-          Ok (rig, seed, Some kd, trigger, case)
-        | "trigger" -> (
-          match int_of_string_opt v with
-          | Some n -> Ok (rig, seed, kind, Some n, case)
-          | None -> Error (Printf.sprintf "bad trigger %S" v))
-        | "case" -> (
-          match int_of_string_opt v with
-          | Some n -> Ok (rig, seed, kind, trigger, Some n)
-          | None -> Error (Printf.sprintf "bad case %S" v))
-        | _ -> Error (Printf.sprintf "unknown repro field %S" k)))
-    (Ok (None, None, None, None, None))
-    (String.split_on_char ',' spec)
-  |> function
-  | Error _ as e -> e
-  | Ok (Some rig, seed, Some kind, Some trigger, Some case) ->
-    Ok (rig, seed, kind, trigger, case)
-  | Ok _ -> Error "repro spec needs at least rig=,kind=,trigger=,case="
-
-type outcome = {
-  scenarios : int;
-  injected : int;
-  cut : int;
-  degraded_mounts : int;
-  oracle_checks : int;
-  failures : failure list;
-}
-
-let zero =
-  {
-    scenarios = 0;
-    injected = 0;
-    cut = 0;
-    degraded_mounts = 0;
-    oracle_checks = 0;
-    failures = [];
-  }
-
-let merge a b =
-  {
-    scenarios = a.scenarios + b.scenarios;
-    injected = a.injected + b.injected;
-    cut = a.cut + b.cut;
-    degraded_mounts = a.degraded_mounts + b.degraded_mounts;
-    oracle_checks = a.oracle_checks + b.oracle_checks;
-    failures = a.failures @ b.failures;
-  }
+type cell = { rig : rig; kind : Fault.Plan.kind; trigger : int; case : int }
 
 (* ---- Rig plumbing ---- *)
 
@@ -601,6 +517,20 @@ let run_workload (c : config) fso oracle ~wprng ~cut =
   | Disk.Disk_sim.Power_cut -> cut := true
   | Blockdev.Device.Io_error _ | Disk.Disk_sim.Media_failure _ -> ()
 
+(* [fails] is newest first, as the cell bodies accumulate it. *)
+let judgement ~injected ~cut ~degraded ~oracle_checks fails =
+  {
+    Fault.Cell.injected;
+    loss = false;
+    counters =
+      [
+        ("power cuts", if cut then 1 else 0);
+        ("degraded recoveries", if degraded then 1 else 0);
+        ("oracle checks", oracle_checks);
+      ];
+    violations = List.rev fails;
+  }
+
 let run_plain_cell (c : config) ~rig ~kind ~trigger ~case =
   let scenario_seed = Int64.add c.seed (Int64.of_int (case * 6029)) in
   let clock = Clock.create () in
@@ -615,21 +545,7 @@ let run_plain_cell (c : config) ~rig ~kind ~trigger ~case =
   Fault.Plan.flush plan;
   let frozen = Disk.Sector_store.snapshot (Disk.Disk_sim.store disk) in
   let fails = ref [] in
-  let failf fmt =
-    Printf.ksprintf
-      (fun message ->
-        fails :=
-          {
-            f_rig = rig_name rig;
-            f_seed = c.seed;
-            f_kind = kind;
-            f_trigger = trigger;
-            f_case = case;
-            message;
-          }
-          :: !fails)
-      fmt
-  in
+  let failf fmt = Printf.ksprintf (fun m -> fails := m :: !fails) fmt in
   let degraded = ref false in
   let oracle_checks = ref 0 in
   let recovery_plan = ref None in
@@ -716,14 +632,8 @@ let run_plain_cell (c : config) ~rig ~kind ~trigger ~case =
     ||
     match !recovery_plan with Some p -> Fault.Plan.fired p | None -> false
   in
-  {
-    scenarios = 1;
-    injected = (if injected then 1 else 0);
-    cut = (if !cut then 1 else 0);
-    degraded_mounts = (if !degraded then 1 else 0);
-    oracle_checks = !oracle_checks;
-    failures = List.rev !fails;
-  }
+  judgement ~injected ~cut:!cut ~degraded:!degraded ~oracle_checks:!oracle_checks
+    !fails
 
 let vol_shape = function
   | V_stripe -> Volume.Stripe 2
@@ -781,21 +691,7 @@ let run_volume_cell (c : config) ~rig ~layout ~leg ~kind ~trigger ~case =
   in
   let frozen = freeze vol in
   let fails = ref [] in
-  let failf fmt =
-    Printf.ksprintf
-      (fun message ->
-        fails :=
-          {
-            f_rig = rig_name rig;
-            f_seed = c.seed;
-            f_kind = kind;
-            f_trigger = trigger;
-            f_case = case;
-            message;
-          }
-          :: !fails)
-      fmt
-  in
+  let failf fmt = Printf.ksprintf (fun m -> fails := m :: !fails) fmt in
   let degraded = ref false in
   let oracle_checks = ref 0 in
   let mirrored =
@@ -892,14 +788,8 @@ let run_volume_cell (c : config) ~rig ~layout ~leg ~kind ~trigger ~case =
         failf "remount is not idempotent (namespace or sizes changed)";
       let deg f = match f.o_mode () with `Degraded _ -> true | `Rw -> false in
       if deg fso2 <> deg fso3 then failf "degraded mode is not idempotent");
-  {
-    scenarios = 1;
-    injected = (if Fault.Plan.fired plan then 1 else 0);
-    cut = (if !cut then 1 else 0);
-    degraded_mounts = (if !degraded then 1 else 0);
-    oracle_checks = !oracle_checks;
-    failures = List.rev !fails;
-  }
+  judgement ~injected:(Fault.Plan.fired plan) ~cut:!cut ~degraded:!degraded
+    ~oracle_checks:!oracle_checks !fails
 
 (* NVM-WAL rig parameters.  The log is deliberately small so destaging
    happens inline (backpressure) during the short sweep workload —
@@ -974,25 +864,11 @@ let run_wal_cell (c : config) ~rig ~backing ~kind ~trigger ~case =
   let prng = Prng.create ~seed:scenario_seed in
   let nvm = Nvm.Nvm_sim.create ~clock () in
   let fails = ref [] in
-  let failf fmt =
-    Printf.ksprintf
-      (fun message ->
-        fails :=
-          {
-            f_rig = rig_name rig;
-            f_seed = c.seed;
-            f_kind = kind;
-            f_trigger = trigger;
-            f_case = case;
-            message;
-          }
-          :: !fails)
-      fmt
-  in
+  let failf fmt = Printf.ksprintf (fun m -> fails := m :: !fails) fmt in
   match make_inner ~disk ~fresh:true with
   | Error e ->
     failf "format aborted: %s" e;
-    { zero with scenarios = 1; failures = List.rev !fails }
+    judgement ~injected:false ~cut:false ~degraded:false ~oracle_checks:0 !fails
   | Ok inner ->
     let wal = Nvm.Nvm_wal.create ~config:wal_config ~nvm ~inner () in
     let fso = fs_fresh ~dev:(Nvm.Nvm_wal.device wal) ~clock in
@@ -1082,16 +958,10 @@ let run_wal_cell (c : config) ~rig ~backing ~kind ~trigger ~case =
           failf "remount is not idempotent (namespace or sizes changed)";
         let deg f = match f.o_mode () with `Degraded _ -> true | `Rw -> false in
         if deg fso2 <> deg fso3 then failf "degraded mode is not idempotent");
-    {
-      scenarios = 1;
-      injected = (if Fault.Plan.fired plan then 1 else 0);
-      cut = (if !cut then 1 else 0);
-      degraded_mounts = (if !degraded then 1 else 0);
-      oracle_checks = !oracle_checks;
-      failures = List.rev !fails;
-    }
+    judgement ~injected:(Fault.Plan.fired plan) ~cut:!cut ~degraded:!degraded
+      ~oracle_checks:!oracle_checks !fails
 
-let run_cell (c : config) ~rig ~kind ~trigger ~case =
+let run_cell (c : config) { rig; kind; trigger; case } =
   match rig.on with
   | D_volume (layout, leg) ->
     run_volume_cell c ~rig ~layout ~leg ~kind ~trigger ~case
@@ -1117,7 +987,7 @@ let cells (c : config) =
               List.iter
                 (fun trigger ->
                   incr case;
-                  cells := (rig, kind, trigger, !case) :: !cells)
+                  cells := { rig; kind; trigger; case = !case } :: !cells)
                 triggers)
           kinds)
       rigs
@@ -1127,38 +997,33 @@ let cells (c : config) =
   add c.wal_rigs c.wal_kinds c.wal_triggers;
   List.rev !cells
 
-(* A worker that died (crash, wedge, exception) degrades to a per-cell
-   failure carrying the same repro coordinates a judged failure would. *)
-let worker_failure (c : config) (rig, kind, trigger, case) reason =
-  {
-    zero with
-    scenarios = 1;
-    failures =
-      [
-        {
-          f_rig = rig_name rig;
-          f_seed = c.seed;
-          f_kind = kind;
-          f_trigger = trigger;
-          f_case = case;
-          message = Par.reason_to_string reason;
-        };
-      ];
-  }
+let coords (c : config) cl =
+  [
+    ("rig", rig_name cl.rig);
+    ("seed", Int64.to_string c.seed);
+    ("kind", Fault.Plan.kind_to_string cl.kind);
+    ("trigger", string_of_int cl.trigger);
+    ("case", string_of_int cl.case);
+  ]
 
-let run ?(jobs = 1) ?(timeout_s = 300.) ?cell (c : config) =
-  let cell_fn = match cell with None -> run_cell | Some f -> f in
-  let cells = cells c in
-  let results =
-    Par.map ~timeout_s ~jobs
-      (fun (rig, kind, trigger, case) -> cell_fn c ~rig ~kind ~trigger ~case)
-      cells
-  in
-  List.fold_left2
-    (fun acc cl -> function
-      | Ok o -> merge acc o
-      | Error (e : Par.error) -> merge acc (worker_failure c cl e.Par.reason))
-    zero cells results
+let decode (c : config) get =
+  let ( let* ) = Result.bind in
+  let* rig = rig_of_string (get "rig") in
+  let* seed = Fault.Cell.int64 get "seed" in
+  let* kind = Fault.Plan.kind_of_string (get "kind") in
+  let* trigger = Fault.Cell.int get "trigger" in
+  let* case = Fault.Cell.int get "case" in
+  Ok ({ c with seed }, { rig; kind; trigger; case })
+
+let sweep =
+  {
+    Fault.Cell.keys = [ "rig"; "seed"; "kind"; "trigger"; "case" ];
+    counters = [ "power cuts"; "degraded recoveries"; "oracle checks" ];
+    cells;
+    coords;
+    decode;
+    run_cell;
+  }
 
 (* ---- Seeded degraded-mount demonstrations ---- *)
 

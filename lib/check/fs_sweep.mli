@@ -73,71 +73,21 @@ val smoke : config
     plus two mirrored-volume drive-death cells and four NVM-WAL cells
     (torn NVM record and crash mid-destage on the staged-VLD rig). *)
 
-type failure = {
-  f_rig : string;
-  f_seed : int64;
-  f_kind : Fault.Plan.kind;
-  f_trigger : int;
-  f_case : int;
-  message : string;
+type cell = {
+  rig : rig;
+  kind : Fault.Plan.kind;
+  trigger : int;  (** I/O count after which the fault arms *)
+  case : int;  (** position in the matrix; perturbs the scenario seed *)
 }
 
-val repro_of_failure : failure -> string
-(** Machine-readable spec, ["rig=...,seed=...,kind=...,trigger=...,case=..."]. *)
-
-val parse_repro :
-  string ->
-  (rig * int64 option * Fault.Plan.kind * int * int, string) result
-
-val pp_failure : Format.formatter -> failure -> unit
-
-type outcome = {
-  scenarios : int;
-  injected : int;         (** scenarios whose fault actually fired *)
-  cut : int;              (** scenarios ended by a simulated power cut *)
-  degraded_mounts : int;  (** recoveries that came up read-only *)
-  oracle_checks : int;
-  failures : failure list;
-}
-
-val merge : outcome -> outcome -> outcome
-
-val run_cell :
-  config ->
-  rig:rig ->
-  kind:Fault.Plan.kind ->
-  trigger:int ->
-  case:int ->
-  outcome
-(** One scenario: workload under fault, freeze, remount, fsck, oracle,
-    idempotence.  [case] perturbs the scenario seed. *)
-
-val cells : config -> (rig * Fault.Plan.kind * int * int) list
-(** The (rig, kind, trigger, case) matrix in canonical order.  [case]
-    numbers only the cells actually present (excluded pairs are skipped
-    before numbering) and is a function of a cell's coordinates alone,
-    independent of execution order. *)
-
-val run :
-  ?jobs:int ->
-  ?timeout_s:float ->
-  ?cell:
-    (config ->
-    rig:rig ->
-    kind:Fault.Plan.kind ->
-    trigger:int ->
-    case:int ->
-    outcome) ->
-  config ->
-  outcome
-(** Run the whole matrix through {!Par.map} on [jobs] workers (default
-    [1]: in-process, no fork) and merge per-cell outcomes in matrix
-    order — identical result for every [jobs] value.  A cell whose
-    worker crashes, raises, or exceeds [timeout_s] (default 300 s,
-    enforced only when [jobs > 1]) contributes a structured {!failure}
-    with its repro coordinates instead of killing the sweep.  [cell]
-    overrides the cell body — tests use it to plant deliberately
-    crashing or hanging cells. *)
+val sweep : (config, cell) Fault.Cell.t
+(** The (rig, kind, trigger) matrix — single-spindle slice, then the
+    volume slice, then the NVM-WAL slice; [case] numbers only the cells
+    actually present — its repro string
+    ["rig=ufs/vld,seed=9203,kind=torn,trigger=5,case=37"], and the cell
+    body: workload under fault, freeze, remount, fsck, oracle,
+    idempotence.  Counters: ["power cuts"], ["degraded recoveries"]
+    (remounts that came up read-only), ["oracle checks"]. *)
 
 val degraded_demo : fs_kind -> (unit, string) result
 (** Seeded corruption of one live inode's sole metadata copy on an

@@ -35,59 +35,17 @@ val default : config
     comfortably over 200 actually inject their fault (a trigger can
     fall past the end of a short recovery's read sequence). *)
 
-type failure = {
-  seed : int64;  (** the config's master seed *)
+type cell = {
   kind : Plan.kind;
-  trigger : int;
-  with_tail : bool;
-  case : int;
-  message : string;
-}
-(** One invariant violation, carrying every coordinate needed to rerun
-    its cell via {!run_scenario}. *)
-
-val repro_of_failure : failure -> string
-(** Copy-pasteable [--repro] argument, e.g.
-    ["seed=7101,kind=torn,trigger=5,tail=true,case=37"]. *)
-
-val parse_repro :
-  string -> (int64 option * Plan.kind * int * bool * int, string) result
-(** Inverse of {!repro_of_failure}: (seed override, kind, trigger,
-    with_tail, case).  The seed field is optional — omitted means "use
-    the config's". *)
-
-val pp_failure : Format.formatter -> failure -> unit
-
-type outcome = {
-  scenarios : int;  (** cells executed *)
-  injected : int;  (** cells whose fault actually fired *)
-  cut : int;  (** workloads ended by simulated power loss *)
-  degraded : int;  (** recoveries that had to skip damage (corrupt nodes or scan fallback) *)
-  failures : failure list;  (** invariant violations, empty on success *)
+  trigger : int;  (** the fault fires at this access boundary *)
+  with_tail : bool;  (** power down (write the tail) before freezing *)
+  case : int;  (** position in the matrix; perturbs the workload seed *)
 }
 
-val cells : config -> (Plan.kind * int * bool * int) list
-(** The (kind, trigger, with_tail, case) matrix in canonical order.
-    [case] is a function of the cell's coordinates alone, so every
-    cell's seed is independent of execution order. *)
-
-val run :
-  ?jobs:int ->
-  ?timeout_s:float ->
-  ?scenario:
-    (config -> kind:Plan.kind -> trigger:int -> with_tail:bool -> case:int -> outcome) ->
-  config ->
-  outcome
-(** Run the whole matrix through {!Par.map} on [jobs] workers (default
-    [1]: in-process, no fork) and merge the per-cell outcomes in matrix
-    order — the result is identical for every [jobs] value.  A cell
-    whose worker crashes, raises, or exceeds [timeout_s] (default 300 s,
-    enforced only when [jobs > 1]) contributes a structured {!failure}
-    with its repro coordinates instead of killing the sweep.
-    [scenario] overrides the cell body — tests use it to plant
-    deliberately crashing or hanging cells. *)
-
-val run_scenario :
-  config -> kind:Plan.kind -> trigger:int -> with_tail:bool -> case:int -> outcome
-(** One cell of the sweep, exposed for the CLI and for debugging a
-    single failing combination; [case] perturbs the workload seed. *)
+val sweep : (config, cell) Cell.t
+(** The matrix (tail-major, then kind, then trigger; [case] numbers the
+    cells from 1), its repro string
+    ["seed=7101,kind=torn,trigger=5,tail=true,case=37"], and the cell
+    body: run the seeded workload under the plan, freeze, recover
+    (twice, for idempotence) and judge.  Counters: ["power cuts"],
+    ["degraded recoveries"] (recoveries that had to skip damage). *)

@@ -799,16 +799,16 @@ type wtx = {
   wt_gi : int;
   wt_gb : int;
   wt_subs : sub list;
-  wt_degraded : bool;  (* some leg was skipped (and DRL'd) at dispatch *)
+  wt_skipped : leg list;  (* suspects in backoff, left alone at dispatch *)
 }
 
 (* Mirror write scatter: every leg that can reasonably take the block
-   gets a command at the arrival instant; legs skipped for backoff get
-   the block in their DRL.  Nothing is serviced yet. *)
+   gets a command at the arrival instant; legs skipped for backoff are
+   remembered for the gather to DRL.  Nothing is serviced yet. *)
 let submit_group_write t ~at ?owner gi gb ~block buf =
   let group = t.groups.(gi) in
   let subs = ref [] in
-  let degraded = ref false in
+  let skipped = ref [] in
   Array.iter
     (fun leg ->
       let dispatch suspect =
@@ -825,15 +825,7 @@ let submit_group_write t ~at ?owner gi gb ~block buf =
         if gb < leg.cursor then dispatch false
       | `Healthy -> dispatch false
       | `Suspect ->
-        if at < leg.retry_after then begin
-          (* in backoff: leave it alone, log the miss.  A DRL entry
-             means "a peer holds newer data than this leg"; with no
-             peer (single-leg group) the op will simply fail and the
-             old block stays valid — marking it dirty would wrongly
-             block reads of content the platter still has. *)
-          if Array.length group > 1 then Hashtbl.replace leg.drl gb ();
-          degraded := true
-        end
+        if at < leg.retry_after then skipped := leg :: !skipped
         else dispatch true)
     group;
   {
@@ -841,7 +833,7 @@ let submit_group_write t ~at ?owner gi gb ~block buf =
     wt_gi = gi;
     wt_gb = gb;
     wt_subs = List.rev !subs;
-    wt_degraded = !degraded;
+    wt_skipped = !skipped;
   }
 
 (* Gather one write scatter.  Completion rule: healthy legs are always
@@ -872,7 +864,19 @@ let gather_group_write t (ctbl : ctbl) ~at wtx =
   Clock.warp t.clock completion;
   let bd = ref Breakdown.zero in
   let wrote = ref 0 in
-  let degraded = ref wtx.wt_degraded in
+  let degraded = ref (wtx.wt_skipped <> []) in
+  (* A DRL entry means "a peer holds newer data than this leg", so a
+     leg that missed the write is owed one only when some peer took it.
+     When no leg did (a single-leg group, or a peer whose resilver has
+     not reached the block yet) the op fails and the old block is still
+     the logical content — marking it dirty would wrongly block reads of
+     content the platter still has, and leave the group no source to
+     drain the entry from. *)
+  let landed =
+    List.exists (fun s -> s.s_gen = s.s_leg.gen && ok s) wtx.wt_subs
+  in
+  if landed then
+    List.iter (fun leg -> Hashtbl.replace leg.drl wtx.wt_gb ()) wtx.wt_skipped;
   let last_err = ref None in
   List.iter
     (fun s ->
@@ -890,11 +894,7 @@ let gather_group_write t (ctbl : ctbl) ~at wtx =
           end
         | Disk.Disk_queue.Failed _ | Disk.Disk_queue.Data _ ->
           (match !(s.s_err) with Some e -> last_err := Some e | None -> ());
-          (* single-leg group: the write failed outright and the old
-             block content is still the logical content — no peer holds
-             anything newer to owe this leg (see the scatter path) *)
-          if Array.length t.groups.(wtx.wt_gi) > 1 then
-            Hashtbl.replace leg.drl wtx.wt_gb ();
+          if landed then Hashtbl.replace leg.drl wtx.wt_gb ();
           degraded := true;
           (* one escalation per backoff window, matching the cadence of
              the sequential path (a batch is one op per leg) *)
@@ -1634,7 +1634,23 @@ let start_rebuild t ~group ~leg =
       start_rebuild_on t l (factory ());
       Ok ()
 
-let leg_read_raw t ~group ~leg gb = Result.map fst (leg_read t.groups.(group).(leg) gb)
+(* No failover, but a hung drive is busy, not broken: wait out its
+   stall window — or, when the hang closed while the read was in
+   flight, retry once as [copy_block] does — before calling the block
+   unreadable. *)
+let leg_read_raw t ~group ~leg gb =
+  let l = t.groups.(group).(leg) in
+  let read () = Result.map fst (leg_read l gb) in
+  match read () with
+  | Error _ as e -> (
+    match Disk.Disk_sim.health l.disk with
+    | Disk.Disk_sim.Hung until ->
+      Clock.advance_to t.clock until;
+      read ()
+    | Disk.Disk_sim.Ok_drive -> read ()
+    | Disk.Disk_sim.Flaky_drive | Disk.Disk_sim.Dead_drive -> e)
+  | ok -> ok
+
 let leg_drl_size t ~group ~leg = Hashtbl.length t.groups.(group).(leg).drl
 let leg_dirty t ~group ~leg gb = Hashtbl.mem t.groups.(group).(leg).drl gb
 

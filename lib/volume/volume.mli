@@ -273,7 +273,9 @@ val drl_size : t -> int
 val leg_read_raw :
   t -> group:int -> leg:int -> int -> (Bytes.t, Blockdev.Device.io_error) result
 (** Read one group block from one specific leg, bypassing failover —
-    how the volume checker cross-examines mirror copies. *)
+    how the volume checker cross-examines mirror copies.  A drive that
+    reports itself hung is waited out and read again, so only media that
+    cannot produce the block reads as an error. *)
 
 val leg_drl_size : t -> group:int -> leg:int -> int
 val leg_dirty : t -> group:int -> leg:int -> int -> bool

@@ -94,53 +94,32 @@ let test_oracle_uncommitted_create_may_vanish () =
    roundtrip. *)
 let test_clean_roundtrip rig () =
   let o =
-    Fs_sweep.run_cell Fs_sweep.default ~rig ~kind:Fault.Plan.Power_cut
-      ~trigger:max_int ~case:71
+    Fault.Cell.run_one Fs_sweep.sweep Fs_sweep.default
+      { Fs_sweep.rig; kind = Fault.Plan.Power_cut; trigger = max_int; case = 71 }
   in
-  Alcotest.(check int) "one scenario" 1 o.Fs_sweep.scenarios;
-  Alcotest.(check int) "no fault fired" 0 o.Fs_sweep.injected;
-  Alcotest.(check int) "oracle ran" 1 o.Fs_sweep.oracle_checks;
-  match o.Fs_sweep.failures with
+  Alcotest.(check int) "one scenario" 1 o.Fault.Cell.cells;
+  Alcotest.(check int) "no fault fired" 0 o.Fault.Cell.injected;
+  Alcotest.(check int) "oracle ran" 1 (Fault.Cell.count o "oracle checks");
+  match o.Fault.Cell.failures with
   | [] -> ()
-  | f :: _ -> Alcotest.failf "clean roundtrip failed: %s" f.Fs_sweep.message
+  | f :: _ -> Alcotest.failf "clean roundtrip failed: %s" f.Fault.Cell.message
 
 (* ---- The full sweep (the acceptance matrix) ---- *)
 
 let test_full_sweep () =
-  let o = Fs_sweep.run ~jobs:(Par.default_jobs ()) Fs_sweep.default in
-  Alcotest.(check bool) "at least 150 scenarios" true (o.Fs_sweep.scenarios >= 150);
-  Alcotest.(check bool) "faults actually fired" true (o.Fs_sweep.injected > 100);
-  Alcotest.(check bool) "power cuts exercised" true (o.Fs_sweep.cut > 0);
-  Alcotest.(check int) "every scenario oracle-checked" o.Fs_sweep.scenarios
-    o.Fs_sweep.oracle_checks;
-  match o.Fs_sweep.failures with
+  let o = Fault.Cell.run ~jobs:(Par.default_jobs ()) Fs_sweep.sweep Fs_sweep.default in
+  Alcotest.(check bool) "at least 150 scenarios" true (o.Fault.Cell.cells >= 150);
+  Alcotest.(check bool) "faults actually fired" true (o.Fault.Cell.injected > 100);
+  Alcotest.(check bool) "power cuts exercised" true
+    (Fault.Cell.count o "power cuts" > 0);
+  Alcotest.(check int) "every scenario oracle-checked" o.Fault.Cell.cells
+    (Fault.Cell.count o "oracle checks");
+  match o.Fault.Cell.failures with
   | [] -> ()
   | f :: _ ->
-    Alcotest.failf "%d failures, first: %s (repro %s)"
-      (List.length o.Fs_sweep.failures)
-      f.Fs_sweep.message
-      (Fs_sweep.repro_of_failure f)
-
-let test_repro_roundtrip () =
-  let f =
-    {
-      Fs_sweep.f_rig = "lfs/vld";
-      f_seed = 77L;
-      f_kind = Fault.Plan.Torn_write;
-      f_trigger = 9;
-      f_case = 41;
-      message = "whatever";
-    }
-  in
-  match Fs_sweep.parse_repro (Fs_sweep.repro_of_failure f) with
-  | Error e -> Alcotest.fail e
-  | Ok (rig, seed, kind, trigger, case) ->
-    Alcotest.(check string) "rig" "lfs/vld" (Fs_sweep.rig_name rig);
-    Alcotest.(check (option int64)) "seed" (Some 77L) seed;
-    Alcotest.(check string) "kind" "torn"
-      (Fault.Plan.kind_to_string kind);
-    Alcotest.(check int) "trigger" 9 trigger;
-    Alcotest.(check int) "case" 41 case
+    Alcotest.failf "%d failures, first: %a"
+      (List.length o.Fault.Cell.failures)
+      Fault.Cell.pp_failure f
 
 (* ---- Degraded read-only mounts from seeded corruption ---- *)
 
@@ -271,60 +250,56 @@ let test_vlfs_recover_idempotent () =
 
 (* ---- the queued-array fault sweep ---- *)
 
-(* Every coordinate in the default matrix must survive the repro
-   spec print/parse cycle: a cell whose spec does not roundtrip cannot
-   be reproduced from a CI failure line. *)
-let test_array_repro_roundtrip () =
-  let c = Array_sweep.default in
-  List.iter
-    (fun (array, fault, depth, phase, case) ->
-      let f =
-        {
-          Array_sweep.f_array = Array_sweep.array_to_string array;
-          f_seed = c.Array_sweep.seed;
-          f_fault = fault;
-          f_depth = depth;
-          f_phase = phase;
-          f_case = case;
-          message = "";
-        }
-      in
-      let spec = Array_sweep.repro_of_failure f in
-      match Array_sweep.parse_repro spec with
-      | Ok (a', s', f', d', p', c') ->
-        if
-          a' <> array || s' <> Some c.Array_sweep.seed || f' <> fault
-          || d' <> depth || p' <> phase || c' <> case
-        then Alcotest.failf "repro %S did not roundtrip" spec
-      | Error e -> Alcotest.failf "repro %S did not parse: %s" spec e)
-    (Array_sweep.cells c)
-
 (* One queued-array cell per judging regime, end to end: a raid10 cell
    that must mask a mid-batch leg death, and a double-death cell that
    must see honest loss.  Both must return a verdict and no failure. *)
 let array_cell array fault phase ~want_loss () =
   let c = { Array_sweep.smoke with Array_sweep.rounds = 6 } in
-  let case =
+  let cell =
     match
       List.find_opt
-        (fun (a, f, _, p, _) -> a = array && f = fault && p = phase)
-        (Array_sweep.cells c)
+        (fun (k : Array_sweep.cell) ->
+          k.array = array && k.fault = fault && k.phase = phase)
+        (Array_sweep.sweep.Fault.Cell.cells c)
     with
-    | Some (_, _, _, _, n) -> n
+    | Some k -> k
     | None -> Alcotest.fail "cell not in the smoke matrix"
   in
-  let o = Array_sweep.run_cell c ~array ~fault ~depth:4 ~phase ~case in
-  Alcotest.(check int) "one cell" 1 o.Array_sweep.cells;
-  (match o.Array_sweep.failures with
+  let o = Fault.Cell.run_one Array_sweep.sweep c cell in
+  Alcotest.(check int) "one cell" 1 o.Fault.Cell.cells;
+  (match o.Fault.Cell.failures with
   | [] -> ()
   | f :: _ ->
-    Alcotest.failf "cell failed: %s" (Format.asprintf "%a" Array_sweep.pp_failure f));
-  match o.Array_sweep.verdicts with
+    Alcotest.failf "cell failed: %s" (Format.asprintf "%a" Fault.Cell.pp_failure f));
+  match o.Fault.Cell.verdicts with
   | [ (_, v) ] ->
     Alcotest.(check string) "verdict"
       (if want_loss then "data-loss" else "ok")
       v
   | vs -> Alcotest.failf "expected one verdict, got %d" (List.length vs)
+
+(* A transient 40 ms hang on a raid10 leg must cost nothing: once on
+   the rebuild's only source (the source used to be marked dirty for
+   writes no leg took, so neither leg could seed the other and settle
+   retired both — and the remount then trusted the source's stale
+   platter), once firing during the volume checker's own raw reads. *)
+let test_array_hang_repros () =
+  List.iter
+    (fun spec ->
+      match Fault.Cell.parse Array_sweep.sweep Array_sweep.default spec with
+      | Error e -> Alcotest.failf "repro %S did not parse: %s" spec e
+      | Ok (c, cell) -> (
+        let o = Fault.Cell.run_one Array_sweep.sweep c cell in
+        match o.Fault.Cell.failures with
+        | [] ->
+          Alcotest.(check (list (pair string string)))
+            spec [ (spec, "ok") ] o.Fault.Cell.verdicts
+        | f :: _ -> Alcotest.failf "%a" Fault.Cell.pp_failure f))
+    [
+      "array=raid10,seed=5,fault=hang:40,depth=4,phase=rebuild,case=63";
+      "array=raid10,seed=42874,fault=hang:40,depth=4,phase=rebuild,case=18";
+      "array=raid10,seed=35,fault=hang:40,depth=1,phase=drain,case=59";
+    ]
 
 let suites =
   let tc = Alcotest.test_case in
@@ -349,12 +324,13 @@ let suites =
       [
         tc "full matrix: >= 150 scenarios, zero violations" `Quick
           test_full_sweep;
-        tc "repro spec roundtrip" `Quick test_repro_roundtrip;
+        tc "repro spec roundtrip" `Quick (Test_cell.roundtrip Test_cell.fs);
       ] );
     ( "check:array-sweep",
       [
         tc "repro spec roundtrip over the full matrix" `Quick
-          test_array_repro_roundtrip;
+          (Test_cell.roundtrip Test_cell.array);
+        tc "raid10 rides out a transient hang" `Quick test_array_hang_repros;
         tc "raid10 masks a mid-batch leg death" `Quick
           (array_cell Array_sweep.A_raid10
              (Array_sweep.F_drive Fault.Plan.Drive_death)

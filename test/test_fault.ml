@@ -223,19 +223,23 @@ let test_rot_reads_error_not_garbage () =
 (* --- the systematic sweep --- *)
 
 let test_fault_sweep () =
-  let o = Fault.Sweep.run ~jobs:(Par.default_jobs ()) Fault.Sweep.default in
+  let o =
+    Fault.Cell.run ~jobs:(Par.default_jobs ()) Fault.Sweep.sweep
+      Fault.Sweep.default
+  in
   List.iter
-    (fun f -> Format.printf "FAILED %a@." Fault.Sweep.pp_failure f)
-    o.Fault.Sweep.failures;
-  Alcotest.(check int) "invariants" 0 (List.length o.Fault.Sweep.failures);
-  Alcotest.(check bool) "at least 200 scenarios" true (o.Fault.Sweep.scenarios >= 200);
+    (fun f -> Format.printf "FAILED %a@." Fault.Cell.pp_failure f)
+    o.Fault.Cell.failures;
+  Alcotest.(check int) "invariants" 0 (List.length o.Fault.Cell.failures);
+  Alcotest.(check bool) "at least 200 scenarios" true (o.Fault.Cell.cells >= 200);
   Alcotest.(check bool)
-    (Printf.sprintf "at least 200 injected faults (got %d)" o.Fault.Sweep.injected)
+    (Printf.sprintf "at least 200 injected faults (got %d)" o.Fault.Cell.injected)
     true
-    (o.Fault.Sweep.injected >= 200);
-  Alcotest.(check bool) "power cuts exercised" true (o.Fault.Sweep.cut > 0);
+    (o.Fault.Cell.injected >= 200);
+  Alcotest.(check bool) "power cuts exercised" true
+    (Fault.Cell.count o "power cuts" > 0);
   Alcotest.(check bool) "degraded recoveries exercised" true
-    (o.Fault.Sweep.degraded > 0)
+    (Fault.Cell.count o "degraded recoveries" > 0)
 
 (* ---- fault-spec parse/print roundtrips ---- *)
 
@@ -330,7 +334,11 @@ let suites =
           test_rot_reads_error_not_garbage;
       ] );
     ( "fault-sweep",
-      [ Alcotest.test_case "220-scenario invariant sweep" `Quick test_fault_sweep ] );
+      [
+        Alcotest.test_case "220-scenario invariant sweep" `Quick test_fault_sweep;
+        Alcotest.test_case "repro spec roundtrip over the full matrix" `Quick
+          (Test_cell.roundtrip Test_cell.fault);
+      ] );
     ( "fault-spec-codec",
       List.map QCheck_alcotest.to_alcotest
         [ prop_kind_roundtrip; prop_leg_spec_roundtrip ] );

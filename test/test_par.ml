@@ -137,47 +137,22 @@ let test_progress_hooks () =
 
 (* --- the sweeps through the pool --- *)
 
-let small_fault_config =
-  {
-    Fault.Sweep.default with
-    Fault.Sweep.kinds = [ Fault.Plan.Torn_write; Fault.Plan.Power_cut ];
-    triggers = 3;
-  }
+(* Each matrix, with its smoke slice's size. *)
+let sweeps = Test_cell.[ ("fault", fault, 12); ("fs", fs, 12); ("array", array, 23) ]
 
-let test_fault_sweep_jobs_invariant () =
-  let o1 = Fault.Sweep.run ~jobs:1 small_fault_config in
-  let o3 = Fault.Sweep.run ~jobs:3 small_fault_config in
-  Alcotest.(check bool) "12 cells" true (o1.Fault.Sweep.scenarios = 12);
+let test_sweep_jobs_invariant (_, Test_cell.Sweep s, n) () =
+  let o1 = Fault.Cell.run ~jobs:1 s.sweep s.smoke in
+  let o3 = Fault.Cell.run ~jobs:3 s.sweep s.smoke in
+  Alcotest.(check int) (Printf.sprintf "%d cells" n) n o1.Fault.Cell.cells;
   Alcotest.(check bool) "jobs=3 = jobs=1" true (o1 = o3)
-
-let test_fs_sweep_jobs_invariant () =
-  let o1 = Check.Fs_sweep.run ~jobs:1 Check.Fs_sweep.smoke in
-  let o4 = Check.Fs_sweep.run ~jobs:4 Check.Fs_sweep.smoke in
-  (* 8 single-spindle/volume cells + 4 NVM-WAL cells *)
-  Alcotest.(check bool) "12 cells" true (o1.Check.Fs_sweep.scenarios = 12);
-  Alcotest.(check bool) "jobs=4 = jobs=1" true (o1 = o4)
 
 (* Order-independent seeding (the property that justifies fanning out):
    every cell's outcome must be the same whether the matrix runs
    forward or reversed.  A cell that leaked PRNG state to its successor
    would diverge here. *)
-let test_cell_order_independent () =
-  let c = small_fault_config in
-  let cells = Fault.Sweep.cells c in
-  let run_one (kind, trigger, with_tail, case) =
-    Fault.Sweep.run_scenario c ~kind ~trigger ~with_tail ~case
-  in
-  let forward = List.map run_one cells in
-  let reversed = List.rev_map run_one (List.rev cells) in
-  Alcotest.(check bool) "reversed execution, identical outcomes" true
-    (forward = reversed)
-
-let test_fs_cell_order_independent () =
-  let c = Check.Fs_sweep.smoke in
-  let cells = Check.Fs_sweep.cells c in
-  let run_one (rig, kind, trigger, case) =
-    Check.Fs_sweep.run_cell c ~rig ~kind ~trigger ~case
-  in
+let test_cell_order_independent (_, Test_cell.Sweep s, _) () =
+  let cells = s.sweep.Fault.Cell.cells s.smoke in
+  let run_one = Fault.Cell.run_one s.sweep s.smoke in
   let forward = List.map run_one cells in
   let reversed = List.rev_map run_one (List.rev cells) in
   Alcotest.(check bool) "reversed execution, identical outcomes" true
@@ -186,51 +161,49 @@ let test_fs_cell_order_independent () =
 (* A sweep whose cells crash or wedge must degrade those cells to
    structured failures with live repro coordinates and keep going. *)
 let test_sweep_survives_crashing_cells () =
-  let c =
-    {
-      Fault.Sweep.default with
-      Fault.Sweep.kinds = [ Fault.Plan.Torn_write ];
-      triggers = 4;
-      tail_modes = [ false ];
-    }
-  in
-  let scenario cfg ~kind ~trigger ~with_tail ~case =
-    if case = 2 then failwith "deliberate crash"
-    else if case = 3 then (
-      while true do
-        ignore (Sys.opaque_identity case)
-      done;
-      assert false)
-    else Fault.Sweep.run_scenario cfg ~kind ~trigger ~with_tail ~case
-  in
-  let o = Fault.Sweep.run ~jobs:2 ~timeout_s:1.0 ~scenario c in
-  Alcotest.(check int) "all 4 cells accounted for" 4 o.Fault.Sweep.scenarios;
-  Alcotest.(check int) "two structured failures" 2
-    (List.length o.Fault.Sweep.failures);
   List.iter
-    (fun (f : Fault.Sweep.failure) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "failure names a planted cell (case %d)" f.Fault.Sweep.case)
-        true
-        (List.mem f.Fault.Sweep.case [ 2; 3 ]);
-      (* The repro string must round-trip back to the failing cell. *)
-      match Fault.Sweep.parse_repro (Fault.Sweep.repro_of_failure f) with
-      | Ok (_, kind, trigger, with_tail, case) ->
-        Alcotest.(check bool) "repro coordinates round-trip" true
-          (kind = f.Fault.Sweep.kind
-          && trigger = f.Fault.Sweep.trigger
-          && with_tail = f.Fault.Sweep.with_tail
-          && case = f.Fault.Sweep.case)
-      | Error e -> Alcotest.failf "repro failed to parse: %s" e)
-    o.Fault.Sweep.failures;
-  let messages =
-    List.map (fun (f : Fault.Sweep.failure) -> f.Fault.Sweep.message)
-      o.Fault.Sweep.failures
-  in
-  Alcotest.(check bool) "crash message survives" true
-    (List.exists (contains ~needle:"deliberate crash") messages);
-  Alcotest.(check bool) "timeout reported as such" true
-    (List.exists (contains ~needle:"timed out") messages)
+    (fun (_, Test_cell.Sweep s, n) ->
+      let cells = s.sweep.Fault.Cell.cells s.smoke in
+      let cell cfg k =
+        if s.case k = 2 then failwith "deliberate crash"
+        else if s.case k = 3 then (
+          while true do
+            ignore (Sys.opaque_identity k)
+          done;
+          assert false)
+        else s.sweep.Fault.Cell.run_cell cfg k
+      in
+      let o = Fault.Cell.run ~jobs:2 ~timeout_s:1.0 ~cell s.sweep s.smoke in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: all %d cells accounted for" s.name n)
+        n o.Fault.Cell.cells;
+      Alcotest.(check int) "two structured failures" 2
+        (List.length o.Fault.Cell.failures);
+      Alcotest.(check int) "two failed verdicts" 2
+        (List.length
+           (List.filter (fun (_, v) -> v = "failed") o.Fault.Cell.verdicts));
+      List.iter
+        (fun (f : Fault.Cell.failure) ->
+          (* The repro string must round-trip back to the failing cell. *)
+          match Fault.Cell.parse s.sweep s.smoke f.Fault.Cell.repro with
+          | Ok (_, k) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "failure names a planted cell (case %d)" (s.case k))
+              true
+              (List.mem (s.case k) [ 2; 3 ]);
+            Alcotest.(check bool) "repro coordinates round-trip" true
+              (List.mem k cells)
+          | Error e -> Alcotest.failf "repro failed to parse: %s" e)
+        o.Fault.Cell.failures;
+      let messages =
+        List.map (fun (f : Fault.Cell.failure) -> f.Fault.Cell.message)
+          o.Fault.Cell.failures
+      in
+      Alcotest.(check bool) "crash message survives" true
+        (List.exists (contains ~needle:"deliberate crash") messages);
+      Alcotest.(check bool) "timeout reported as such" true
+        (List.exists (contains ~needle:"timed out") messages))
+    sweeps
 
 let suites =
   let tc = Alcotest.test_case in
@@ -249,12 +222,18 @@ let suites =
         tc "progress hooks fire once per item" `Quick test_progress_hooks;
       ] );
     ( "par:sweeps",
-      [
-        tc "fault sweep is jobs-invariant" `Quick test_fault_sweep_jobs_invariant;
-        tc "fs sweep is jobs-invariant" `Quick test_fs_sweep_jobs_invariant;
-        tc "fault cells are order-independent" `Quick test_cell_order_independent;
-        tc "fs cells are order-independent" `Quick test_fs_cell_order_independent;
-        tc "crashing and wedged cells degrade to repro failures" `Quick
-          test_sweep_survives_crashing_cells;
-      ] );
+      List.map
+        (fun ((label, _, _) as sw) ->
+          tc (label ^ " sweep is jobs-invariant") `Quick
+            (test_sweep_jobs_invariant sw))
+        sweeps
+      @ List.map
+          (fun ((label, _, _) as sw) ->
+            tc (label ^ " cells are order-independent") `Quick
+              (test_cell_order_independent sw))
+          sweeps
+      @ [
+          tc "crashing and wedged cells degrade to repro failures" `Quick
+            test_sweep_survives_crashing_cells;
+        ] );
   ]
