@@ -1,10 +1,9 @@
 (* fsck for LFS: re-derive the live set (inode data blocks, on-disk
    inode parts, imap chunks) from the checker accessors and cross-check
    it against the owner table and the per-segment live counters LFS
-   cleans by.  LFS cannot leak in the classical sense — segment liveness
-   is derived by reachability, dead copies are simply cleanable garbage —
-   so the leak-shaped failures here are stale owner entries that still
-   claim liveness for a block nothing references. *)
+   cleans by.  LFS cannot leak in the classical sense — dead copies are
+   simply cleanable garbage — so the leak-shaped failures here are live
+   counters that disagree with reachability. *)
 
 let check (t : Lfs.t) : Report.t =
   let fd = ref [] in
@@ -93,28 +92,23 @@ let check (t : Lfs.t) : Report.t =
       if b >= 0 then
         claim b (Printf.sprintf "imap chunk %d" c) (Lfs.Imap_chunk c))
     (Lfs.imap_chunk_locations t);
-  (* Per-segment live counts: every claimed block is live; the only
-     other live block LFS counts is the open segment's summary slot. *)
+  (* Per-segment live counts, exactly: every claimed block is live, and
+     so are both summary slots of the open segment. *)
   let seg_claimed = Array.make (Lfs.n_segments t) 0 in
   Hashtbl.iter
     (fun b _ ->
       let seg = (b - area) / cfg.Lfs.segment_blocks in
       seg_claimed.(seg) <- seg_claimed.(seg) + 1)
     claims;
-  let summary_slack = ref 0 in
+  let open_seg = Lfs.open_segment t in
   for seg = 0 to Lfs.n_segments t - 1 do
     let live = Lfs.seg_live t seg in
-    if live < seg_claimed.(seg) || live > seg_claimed.(seg) + 1 then
+    let expect = seg_claimed.(seg) + if open_seg = Some seg then 2 else 0 in
+    if live <> expect then
       add
         (Report.findf Report.Leaked_block
-           "segment %d counts %d live blocks but %d are reachable" seg live
-           seg_claimed.(seg))
-    else if live = seg_claimed.(seg) + 1 then incr summary_slack
+           "segment %d counts %d live blocks but %d are reachable%s" seg live
+           seg_claimed.(seg)
+           (if open_seg = Some seg then " (+2 open summary slots)" else ""))
   done;
-  if !summary_slack > 1 then
-    add
-      (Report.findf Report.Leaked_block
-         "%d segments count an unreachable live block (only the open \
-          segment's summary may)"
-         !summary_slack);
   Report.v ~fs:"lfs" (List.rev !fd @ Report.of_media (Lfs.verify_media t))

@@ -157,6 +157,12 @@ val owner_of : t -> int -> blkid option
 val n_segments : t -> int
 val segment_area_start : t -> int
 val seg_live : t -> int -> int
+(** Live blocks the segment holds: every reachable block in it, plus
+    both summary slots while it is the open segment. *)
+
+val open_segment : t -> int option
+(** The segment appends currently fill, if any. *)
+
 val generation : t -> int
 
 val verify_media : t -> (string * string) list
