@@ -47,7 +47,7 @@ type row = {
   sync_max_ms : float;
   burst_fit : bool;
   burst_mean_ms : float;
-  overload_ops_s : float;
+  overload_ops_s : float option;
 }
 
 type criteria = {
@@ -236,7 +236,10 @@ let run_cell ~scale ~seed c =
     sync_max_ms = s.Stats.max;
     burst_fit;
     burst_mean_ms = Stats.mean (List.rev !burst_times);
-    overload_ops_s = float_of_int n_over /. Float.max over_ms 1e-6 *. 1000.;
+    overload_ops_s =
+      (* A rig whose overload set never leaves memory spends no
+         simulated time: it did not saturate, and has no rate. *)
+      (if over_ms > 0. then Some (float_of_int n_over /. over_ms *. 1000.) else None);
   }
 
 (* The acceptance criteria, read off the finished rows: plain VLD
@@ -264,8 +267,8 @@ let criteria_of ~scale rows =
   let bmax = List.fold_left max 0 (bursts scale) in
   let overload_ratio =
     match (find R_vld bmax 0., find R_nvm_vld bmax umax) with
-    | Some base, Some nvm when nvm.overload_ops_s > 0. ->
-      base.overload_ops_s /. nvm.overload_ops_s
+    | Some { overload_ops_s = Some base; _ }, Some { overload_ops_s = Some nvm; _ } ->
+      base /. nvm
     | _ -> infinity
   in
   {
@@ -317,7 +320,9 @@ let table_of r =
           Table.cell_ms row.sync_p99_ms;
           Table.cell_f ~decimals:1 row.burst_mean_ms;
           (if row.burst_fit then "yes" else "no");
-          Table.cell_f ~decimals:0 row.overload_ops_s;
+          (match row.overload_ops_s with
+          | Some v -> Table.cell_f ~decimals:0 v
+          | None -> "unsaturated");
         ])
     r.rows;
   t
@@ -338,11 +343,14 @@ let to_json ~scale ~jobs r =
            "  {\"rig\": %S, \"burst\": %d, \"destage_util\": %.2f, \"n_sync\": \
             %d, \"sync_mean_ms\": %.6f, \"sync_p50_ms\": %.6f, \
             \"sync_p99_ms\": %.6f, \"sync_max_ms\": %.6f, \"burst_fit\": %b, \
-            \"burst_mean_ms\": %.3f, \"overload_ops_s\": %.3f}%s\n"
+            \"burst_mean_ms\": %.3f, \"overload_saturated\": %b, \
+            \"overload_ops_s\": %s}%s\n"
            (rig_label row.r_cell.rk)
            row.r_cell.burst row.r_cell.destage_util row.n_sync row.sync_mean_ms
            row.sync_p50_ms row.sync_p99_ms row.sync_max_ms row.burst_fit
-           row.burst_mean_ms row.overload_ops_s
+           row.burst_mean_ms
+           (Option.is_some row.overload_ops_s)
+           (match row.overload_ops_s with Some v -> Printf.sprintf "%.3f" v | None -> "null")
            (if i = n - 1 then "" else ",")))
     r.rows;
   Buffer.add_string b

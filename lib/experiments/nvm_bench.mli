@@ -31,7 +31,10 @@ type row = {
   sync_max_ms : float;
   burst_fit : bool;  (** one whole burst's records fit the NVM log *)
   burst_mean_ms : float;  (** mean simulated time to absorb one burst *)
-  overload_ops_s : float;  (** sustained back-to-back throughput *)
+  overload_ops_s : float option;
+      (** sustained back-to-back throughput; [None] when the phase did
+          not saturate the rig (it spent no simulated time, so there is
+          no rate to report) *)
 }
 
 type criteria = {

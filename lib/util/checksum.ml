@@ -41,7 +41,14 @@ let add_bytes h buf = add_sub_bytes h buf ~pos:0 ~len:(Bytes.length buf)
    each step h -> (h xor w) * prime is a bijection of the accumulator
    for fixed input, so any single corrupted word changes the final
    value deterministically, and multi-word corruption survives only by
-   the same 2^-64 accident as under the byte walk. *)
+   the same 2^-64 accident as under the byte walk.
+
+   The region is bounds-checked once up front; each word is then one
+   unchecked native load, byte-swapped on big-endian hosts so the
+   digest is the same everywhere. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
 let add_words h buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then
     invalid_arg "Checksum.add_words";
@@ -49,15 +56,10 @@ let add_words h buf ~pos ~len =
   let lo = ref (Int64.to_int (Int64.logand h 0xFFFFFFFFL)) in
   let n_words = len / 8 in
   for w = 0 to n_words - 1 do
-    let o = pos + (w * 8) in
-    let wlo =
-      Bytes.get_uint16_le buf o lor (Bytes.get_uint16_le buf (o + 2) lsl 16)
-    in
-    let whi =
-      Bytes.get_uint16_le buf (o + 4) lor (Bytes.get_uint16_le buf (o + 6) lsl 16)
-    in
-    let l = !lo lxor wlo in
-    let h' = !hi lxor whi in
+    let raw = get64u buf (pos + (w * 8)) in
+    let word = if Sys.big_endian then bswap64 raw else raw in
+    let l = !lo lxor (Int64.to_int word land mask32) in
+    let h' = !hi lxor Int64.to_int (Int64.shift_right_logical word 32) in
     let a = l * 0x1B3 in
     hi := ((a lsr 32) + (h' * 0x1B3) + (l lsl 8)) land mask32;
     lo := a land mask32

@@ -136,6 +136,48 @@ let test_checksum_incremental () =
 let test_checksum_int_encoding () =
   Alcotest.(check bool) "int differs" true (Checksum.add_int Checksum.empty 1 <> Checksum.add_int Checksum.empty 256)
 
+(* The word checksum's format, as first specified: each 64-bit word
+   assembled from four little-endian 16-bit loads.  [Checksum.add_words]
+   must stay bit-identical to this, since every summary, map node and
+   NVM record on an image carries its digests. *)
+let add_words_spec h buf ~pos ~len =
+  let mask32 = 0xFFFFFFFF in
+  let hi = ref (Int64.to_int (Int64.shift_right_logical h 32) land mask32) in
+  let lo = ref (Int64.to_int (Int64.logand h 0xFFFFFFFFL)) in
+  let step l h' =
+    let a = l * 0x1B3 in
+    hi := ((a lsr 32) + (h' * 0x1B3) + (l lsl 8)) land mask32;
+    lo := a land mask32
+  in
+  let n_words = len / 8 in
+  for w = 0 to n_words - 1 do
+    let o = pos + (w * 8) in
+    let wlo = Bytes.get_uint16_le buf o lor (Bytes.get_uint16_le buf (o + 2) lsl 16) in
+    let whi = Bytes.get_uint16_le buf (o + 4) lor (Bytes.get_uint16_le buf (o + 6) lsl 16) in
+    step (!lo lxor wlo) (!hi lxor whi)
+  done;
+  for i = pos + (n_words * 8) to pos + len - 1 do
+    step (!lo lxor Char.code (Bytes.get buf i)) !hi
+  done;
+  Int64.logor (Int64.shift_left (Int64.of_int !hi) 32) (Int64.of_int !lo)
+
+let test_checksum_words_pinned () =
+  let block = Bytes.init 4096 (fun i -> Char.chr (((i * 31) + 7) land 0xff)) in
+  Alcotest.(check int64) "4 KB block" 0xc0eef9cbf784b925L
+    (Checksum.add_words Checksum.empty block ~pos:0 ~len:4096);
+  Alcotest.(check int64) "ragged tail" 0x4204f5d8ad165b25L
+    (Checksum.add_words Checksum.empty block ~pos:0 ~len:4089)
+
+let test_checksum_words_bounds () =
+  let buf = Bytes.make 16 'x' in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos %d len %d" pos len)
+        (Invalid_argument "Checksum.add_words")
+        (fun () -> ignore (Checksum.add_words Checksum.empty buf ~pos ~len)))
+    [ (-1, 4); (0, -1); (9, 8); (0, 17) ]
+
 (* ---- Breakdown ---- *)
 
 let test_breakdown_total () =
@@ -231,6 +273,14 @@ let qcheck_tests =
         abs_float (total (add a b) -. (total a +. total b)) < 1e-9);
     Test.make ~name:"checksum roundtrip stability on bytes" ~count:200 (string_of_size Gen.(0 -- 200))
       (fun s -> Checksum.string s = Checksum.bytes (Bytes.of_string s));
+    Test.make ~name:"add_words matches its 16-bit-load spec" ~count:500
+      (quad (string_of_size Gen.(0 -- 300)) small_nat small_nat int64)
+      (fun (s, a, b, h) ->
+        let buf = Bytes.of_string s in
+        let n = Bytes.length buf in
+        let pos = a mod (n + 1) in
+        let len = b mod (n - pos + 1) in
+        Checksum.add_words h buf ~pos ~len = add_words_spec h buf ~pos ~len);
   ]
 
 let suites =
@@ -263,6 +313,8 @@ let suites =
         Alcotest.test_case "sensitive" `Quick test_checksum_sensitive;
         Alcotest.test_case "incremental" `Quick test_checksum_incremental;
         Alcotest.test_case "int encoding" `Quick test_checksum_int_encoding;
+        Alcotest.test_case "words pinned" `Quick test_checksum_words_pinned;
+        Alcotest.test_case "words bounds" `Quick test_checksum_words_bounds;
       ] );
     ( "util:breakdown",
       [
