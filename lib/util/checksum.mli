@@ -24,7 +24,8 @@ val add_words : t -> Bytes.t -> pos:int -> len:int -> t
     block codecs digest 4 KB bodies with this.  Any single corrupted
     word is still detected deterministically: each step is a bijection
     of the accumulator for fixed input, so states that diverge once
-    never reconverge on an identical suffix. *)
+    never reconverge on an identical suffix.  Raises [Invalid_argument]
+    when the region is not inside [buf]. *)
 
 val add_string : t -> string -> t
 val add_int : t -> int -> t
