@@ -1,4 +1,5 @@
-(** The 16-spindle array study ([bench -- array]).
+(** The 16-spindle array study ([bench array]) and its
+    fault-under-load companion ([bench array-faults]).
 
     Aggregate small-write IOPS for three array organisations —
     striped-VLD ([svld]), striped regular legs ([sreg]) and
@@ -7,94 +8,40 @@
     loop: every round scatters [depth] random single-block writes per
     group arriving at the previous round's completion, so each leg's
     tagged queue holds a full window for its policy (SATF on VLD legs)
-    to reorder.
+    to reorder.  [Quick] shrinks the grid to spindles {1,2,4} × depths
+    {1,4}; [raid10] rows exist only for even spindle counts.
 
     Two companion studies ride along: foreground p99 under rebuild
     (healthy vs. throttled background resilver vs. the blocking cursor
-    sweep, with a stated p99 budget), and the sharded multi-tenant
+    sweep, with a 3× healthy-p99 budget), and the sharded multi-tenant
     fairness run ({!Tenant.run}). *)
 
-type rig = Svld | Sreg | Raid10
+type part
+(** One array job's result: a grid cell, a rebuild mode or the
+    fairness run. *)
 
-val rig_to_string : rig -> string
+val subs : ?seed:int -> scale:Rigs.scale -> unit -> (string * (unit -> part)) list
+(** One labelled job per grid cell, one per rebuild mode and one for
+    the fairness run.  [seed] (default 0) salts the cells and the
+    rebuild runs. *)
 
-type cell = { rig : rig; spindles : int; depth : int }
+val merge : part list -> string * Vlog_util.Json.t
+(** The IOPS table plus the scalability, rebuild and fairness
+    summaries, and [{"cells", "scalability", "rebuild", "fairness"}]:
+    per-cell records, the widest-over-single ratio with its ≥8×
+    criterion, the rebuild modes with the budget verdict, and the
+    fairness spread with per-tenant rows. *)
 
-val cell_label : cell -> string
+type fault_row
+(** One service state of the fault-under-load study. *)
 
-val cells : scale:Rigs.scale -> cell list
-(** The study grid.  [Quick] shrinks it to spindles {1,2,4} × depths
-    {1,4}; [raid10] rows exist only for even spindle counts. *)
+val fault_subs :
+  ?seed:int -> scale:Rigs.scale -> unit -> (string * (unit -> fault_row)) list
+(** Closed-loop small writes on a 4-spindle raid10, one job per service
+    state: every leg healthy ([healthy]), one leg dead with no spare
+    ([one-dead]), or a resilver pumped in idle windows while the
+    surviving source runs flaky bursts ([rebuild-flaky]). *)
 
-type cell_result = {
-  c_cell : cell;
-  c_iops : float;  (** aggregate small-write IOPS over the whole run *)
-  c_n : int;  (** logical writes completed *)
-  c_mean_ms : float;
-  c_p50_ms : float;
-  c_p99_ms : float;
-  c_max_ms : float;  (** per-command latencies from the legs' queues *)
-}
-
-type rebuild_row = {
-  rb_mode : string;  (** ["healthy"] | ["throttled"] | ["blocking"] *)
-  rb_n : int;
-  rb_mean_ms : float;
-  rb_p99_ms : float;
-  rb_progress : int;  (** resilver cursor at the end of the run *)
-  rb_completed : bool;
-}
-
-type fault_row = {
-  fr_mode : string;  (** ["healthy"] | ["one-dead"] | ["rebuild-flaky"] *)
-  fr_n : int;  (** logical writes completed *)
-  fr_failed : int;  (** writes that reported a structured per-tag error *)
-  fr_iops : float;
-  fr_mean_ms : float;
-  fr_p50_ms : float;
-  fr_p99_ms : float;
-  fr_max_ms : float;
-  fr_rebuilt : bool;  (** rebuild-flaky: resilver finished during the run *)
-}
-
-type result = {
-  r_cells : cell_result list;
-  r_rebuild : rebuild_row list;
-  r_budget : float;  (** foreground p99 budget, × the healthy p99 *)
-  r_within_budget : bool;  (** throttled p99 ≤ budget × healthy p99 *)
-  r_fairness : Tenant.result;
-  r_scale_x : float;
-      (** widest striped-VLD aggregate IOPS over single-spindle *)
-  r_faults : fault_row list;
-      (** degraded-mode curves; [] unless [~faults:true] was passed *)
-}
-
-val rebuild_budget : float
-(** 3.0: throttled rebuild must hold foreground p99 within 3× healthy. *)
-
-val run_cell : ?seed:int -> scale:Rigs.scale -> cell -> cell_result
-
-val run_fault_mode :
-  ?seed:int ->
-  scale:Rigs.scale ->
-  [ `Healthy | `One_dead | `Rebuild_flaky ] ->
-  fault_row
-(** One degraded-mode service state of the fault-under-load study
-    ([bench -- array --faults]): closed-loop small writes on a
-    4-spindle raid10 with every leg healthy, one leg dead with no
-    spare, or a resilver pumped in idle windows while the surviving
-    source runs flaky bursts. *)
-
-val run :
-  ?seed:int -> ?faults:bool -> jobs:int -> scale:Rigs.scale -> unit -> result
-
-val table_of : result -> Vlog_util.Table.t
-val render : result -> string
-(** IOPS table plus the scalability, rebuild and fairness summaries. *)
-
-val to_json : scale:Rigs.scale -> jobs:int -> result -> string
-(** One JSON object: top-level [experiment], [scale], [jobs], [cores]
-    (the host's detected core count), then [cells] records,
-    [scalability] (with the ≥8× criterion), [rebuild] modes + budget
-    verdict, and [fairness] with per-tenant rows and the spread
-    ratios. *)
+val fault_merge : fault_row list -> string * Vlog_util.Json.t
+(** The degraded-mode summary, and [{"depth", "modes"}] with one record
+    per service state. *)

@@ -1,4 +1,4 @@
-(* The NVM staging-tier study (bench -- nvm): sync-small-write latency
+(* The NVM staging-tier study (bench nvm): sync-small-write latency
    and burst absorption across four rigs x burst sizes x destager duty
    cycles, plus a sustained-overload phase per cell.
 
@@ -40,24 +40,26 @@ type cell = { rk : rig_kind; burst : int; destage_util : float }
 
 type row = {
   r_cell : cell;
-  n_sync : int;
+  n_sync : int;  (* measured synchronous writes *)
   sync_mean_ms : float;
   sync_p50_ms : float;
   sync_p99_ms : float;
   sync_max_ms : float;
-  burst_fit : bool;
-  burst_mean_ms : float;
+  burst_fit : bool;  (* one whole burst's records fit the NVM log *)
+  burst_mean_ms : float;  (* mean simulated time to absorb one burst *)
   overload_ops_s : float option;
+      (* sustained back-to-back throughput; [None] when the phase spent
+         no simulated time, so it did not saturate the rig *)
 }
 
 type criteria = {
   latency_ratio : float;
-  latency_ok : bool;
-  overload_ratio : float;
-  overload_ok : bool;
+      (* min over fitting burst sizes of plain-VLD mean latency over
+         staged-VLD mean latency, at the highest duty cycle *)
+  latency_ok : bool;  (* [latency_ratio >= 10.] *)
+  overload_ratio : float;  (* plain-VLD overload throughput over staged-VLD's *)
+  overload_ok : bool;  (* [overload_ratio <= 1.25] *)
 }
-
-type result = { rows : row list; criteria : criteria }
 
 let block_bytes = 4096
 let file_blocks = 64
@@ -278,23 +280,14 @@ let criteria_of ~scale rows =
     overload_ok = overload_ratio <= 1.25;
   }
 
-let run ?(seed = 0) ~jobs ~scale () =
-  let cs = cells ~scale in
-  let results = Par.map ~jobs (fun c -> run_cell ~scale ~seed c) cs in
-  let rows =
-    List.map2
-      (fun c -> function
-        | Ok row -> row
-        | Error (e : Par.error) ->
-          failwith
-            (Printf.sprintf "nvm bench cell %s/%d/%.2f: %s" (rig_label c.rk)
-               c.burst c.destage_util
-               (Par.reason_to_string e.Par.reason)))
-      cs results
-  in
-  { rows; criteria = criteria_of ~scale rows }
+let subs ?(seed = 0) ~scale () =
+  List.map
+    (fun c ->
+      ( Printf.sprintf "%s/%d/%.2f" (rig_label c.rk) c.burst c.destage_util,
+        fun () -> run_cell ~scale ~seed c ))
+    (cells ~scale)
 
-let table_of r =
+let table_of rows =
   let t =
     Table.create
       ~title:
@@ -324,39 +317,48 @@ let table_of r =
           | Some v -> Table.cell_f ~decimals:0 v
           | None -> "unsaturated");
         ])
-    r.rows;
+    rows;
   t
 
-let to_json ~scale ~jobs r =
-  let b = Buffer.create 4096 in
-  let scale_s = match scale with Rigs.Quick -> "quick" | Rigs.Full -> "full" in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"experiment\": \"nvm\", \"scale\": %S, \"jobs\": %d, \"cores\": %d,\n \
-        \"cells\": [\n"
-       scale_s jobs (Par.detected_cores ()));
-  let n = List.length r.rows in
-  List.iteri
-    (fun i row ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"rig\": %S, \"burst\": %d, \"destage_util\": %.2f, \"n_sync\": \
-            %d, \"sync_mean_ms\": %.6f, \"sync_p50_ms\": %.6f, \
-            \"sync_p99_ms\": %.6f, \"sync_max_ms\": %.6f, \"burst_fit\": %b, \
-            \"burst_mean_ms\": %.3f, \"overload_saturated\": %b, \
-            \"overload_ops_s\": %s}%s\n"
-           (rig_label row.r_cell.rk)
-           row.r_cell.burst row.r_cell.destage_util row.n_sync row.sync_mean_ms
-           row.sync_p50_ms row.sync_p99_ms row.sync_max_ms row.burst_fit
-           row.burst_mean_ms
-           (Option.is_some row.overload_ops_s)
-           (match row.overload_ops_s with Some v -> Printf.sprintf "%.3f" v | None -> "null")
-           (if i = n - 1 then "" else ",")))
-    r.rows;
-  Buffer.add_string b
-    (Printf.sprintf
-       " ],\n \"criteria\": {\"latency_ratio\": %.3f, \"latency_ok\": %b, \
-        \"overload_ratio\": %.3f, \"overload_ok\": %b}}\n"
-       r.criteria.latency_ratio r.criteria.latency_ok r.criteria.overload_ratio
-       r.criteria.overload_ok);
-  Buffer.contents b
+let json_of rows c =
+  let cell row =
+    Json.Obj
+      [
+        ("rig", Json.String (rig_label row.r_cell.rk));
+        ("burst", Json.Int row.r_cell.burst);
+        ("destage_util", Json.Float row.r_cell.destage_util);
+        ("n_sync", Json.Int row.n_sync);
+        ("sync_mean_ms", Json.Float row.sync_mean_ms);
+        ("sync_p50_ms", Json.Float row.sync_p50_ms);
+        ("sync_p99_ms", Json.Float row.sync_p99_ms);
+        ("sync_max_ms", Json.Float row.sync_max_ms);
+        ("burst_fit", Json.Bool row.burst_fit);
+        ("burst_mean_ms", Json.Float row.burst_mean_ms);
+        ("overload_saturated", Json.Bool (Option.is_some row.overload_ops_s));
+        ( "overload_ops_s",
+          match row.overload_ops_s with Some v -> Json.Float v | None -> Json.Null );
+      ]
+  in
+  Json.Obj
+    [
+      ("cells", Json.List (List.map cell rows));
+      ( "criteria",
+        Json.Obj
+          [
+            ("latency_ratio", Json.Float c.latency_ratio);
+            ("latency_ok", Json.Bool c.latency_ok);
+            ("overload_ratio", Json.Float c.overload_ratio);
+            ("overload_ok", Json.Bool c.overload_ok);
+          ] );
+    ]
+
+let merge ~scale rows =
+  let c = criteria_of ~scale rows in
+  let verdict ok = if ok then "ok" else "FAIL" in
+  ( Printf.sprintf
+      "%s\ncriteria: latency_ratio %.1fx (>=10: %s), overload_ratio %.2fx \
+       (<=1.25: %s)\n"
+      (Table.render (table_of rows))
+      c.latency_ratio (verdict c.latency_ok) c.overload_ratio
+      (verdict c.overload_ok),
+    json_of rows c )

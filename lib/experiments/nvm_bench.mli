@@ -1,4 +1,4 @@
-(** The NVM staging-tier study ([bench -- nvm], standalone).
+(** The NVM staging-tier study ([bench nvm]).
 
     Sync-small-write latency and burst-absorption curves across four
     rigs — plain VLD (UFS, every write pays the disk), NVRAM-LFS (the
@@ -10,54 +10,22 @@
     budget), then a sustained-overload phase with no idle at all, where
     a full log makes every append pay the disk cost it was hiding.
 
-    The acceptance criteria ride along in the JSON: at burst sizes that
-    fit the log, the staged-VLD rig's sync-write latency must be at
-    least 10x below plain VLD's, and its sustained-overload throughput
-    within 1.25x of plain VLD's. *)
+    The acceptance criteria are read off the merged rows: at burst
+    sizes that fit the log, the staged-VLD rig's sync-write latency
+    must be at least 10x below plain VLD's, and its sustained-overload
+    throughput within 1.25x of plain VLD's. *)
 
-type rig_kind = R_vld | R_nvram_lfs | R_nvm_ufs | R_nvm_vld
+type row
+(** One (rig × burst × duty cycle) cell's measurements. *)
 
-val rig_label : rig_kind -> string
-(** ["vld"], ["nvram-lfs"], ["nvm-ufs"], ["nvm-vld"]. *)
+val subs : ?seed:int -> scale:Rigs.scale -> unit -> (string * (unit -> row)) list
+(** One labelled job per cell of the rig x burst x duty-cycle matrix;
+    unstaged rigs carry a single duty-cycle slot (the knob means
+    nothing to them). *)
 
-type cell = { rk : rig_kind; burst : int; destage_util : float }
-
-type row = {
-  r_cell : cell;
-  n_sync : int;  (** measured synchronous writes *)
-  sync_mean_ms : float;
-  sync_p50_ms : float;
-  sync_p99_ms : float;
-  sync_max_ms : float;
-  burst_fit : bool;  (** one whole burst's records fit the NVM log *)
-  burst_mean_ms : float;  (** mean simulated time to absorb one burst *)
-  overload_ops_s : float option;
-      (** sustained back-to-back throughput; [None] when the phase did
-          not saturate the rig (it spent no simulated time, so there is
-          no rate to report) *)
-}
-
-type criteria = {
-  latency_ratio : float;
-      (** min over fitting burst sizes of plain-VLD mean latency over
-          staged-VLD mean latency, at the highest duty cycle *)
-  latency_ok : bool;  (** [latency_ratio >= 10.] *)
-  overload_ratio : float;
-      (** plain-VLD overload throughput over staged-VLD's *)
-  overload_ok : bool;  (** [overload_ratio <= 1.25] *)
-}
-
-type result = { rows : row list; criteria : criteria }
-
-val cells : scale:Rigs.scale -> cell list
-(** The rig x burst x duty-cycle matrix; unstaged rigs carry a single
-    duty-cycle slot (the knob means nothing to them). *)
-
-val run : ?seed:int -> jobs:int -> scale:Rigs.scale -> unit -> result
-(** Run every cell through {!Par.map} on [jobs] workers; rows come back
-    in matrix order, identical for every [jobs] value. *)
-
-val table_of : result -> Vlog_util.Table.t
-val to_json : scale:Rigs.scale -> jobs:int -> result -> string
-(** One top-level object: [{"experiment": "nvm", "scale": ..., "jobs":
-    ..., "cores": ..., "cells": [...], "criteria": {...}}]. *)
+val merge : scale:Rigs.scale -> row list -> string * Vlog_util.Json.t
+(** The rendered table plus the criteria line, and
+    [{"cells": [...], "criteria": {...}}].  A cell's [overload_ops_s]
+    is [null] (and [overload_saturated] false) when its overload phase
+    spent no simulated time, so it has no rate; [criteria] holds
+    [latency_ratio], [latency_ok], [overload_ratio] and [overload_ok]. *)

@@ -12,9 +12,9 @@ let cell_label c =
     c.depth
 
 type row = {
-  load : float;
-  rate_ops_s : float;
-  throughput_ops_s : float;
+  load : float;  (* offered-load multiplier of the depth-1 FIFO rate *)
+  rate_ops_s : float;  (* offered arrival rate, requests per second *)
+  throughput_ops_s : float;  (* achieved completion rate *)
   n : int;
   mean_ms : float;
   p50_ms : float;
@@ -25,8 +25,8 @@ type row = {
 
 type result = {
   r_cell : cell;
-  base_ops_s : float;
-  sat_ops_s : float;
+  base_ops_s : float;  (* depth-1 FIFO saturation rate of this stream *)
+  sat_ops_s : float;  (* saturation rate at the cell's depth and policy *)
   rows : row list;
 }
 
@@ -243,19 +243,8 @@ let run_cell ?(seed = 0) ~scale (c : cell) =
   in
   { r_cell = c; base_ops_s; sat_ops_s; rows }
 
-let run ?seed ~jobs ~scale () =
-  let cs = cells ~scale in
-  let results =
-    Par.map ~jobs ~timeout_s:3600. (fun c -> run_cell ?seed ~scale c) cs
-  in
-  List.map2
-    (fun c -> function
-      | Ok r -> r
-      | Error (e : Par.error) ->
-        failwith
-          (Printf.sprintf "qdepth cell %s: %s" (cell_label c)
-             (Par.reason_to_string e.Par.reason)))
-    cs results
+let subs ?seed ~scale () =
+  List.map (fun c -> (cell_label c, fun () -> run_cell ?seed ~scale c)) (cells ~scale)
 
 let table_of results =
   let t =
@@ -289,31 +278,30 @@ let table_of results =
     results;
   t
 
-let to_json ~scale ~jobs results =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "[\n";
-  let scale_s = match scale with Rigs.Quick -> "quick" | Rigs.Full -> "full" in
-  let rows =
-    List.concat_map (fun r -> List.map (fun row -> (r, row)) r.rows) results
-  in
-  let n = List.length rows in
-  List.iteri
-    (fun i (r, row) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"fs\": %S, \"policy\": %S, \"depth\": %d, \"load\": %.3f, \
-            \"rate_ops_s\": %.3f, \"throughput_ops_s\": %.3f, \"n\": %d, \
-            \"mean_ms\": %.6f, \"p50_ms\": %.6f, \"p99_ms\": %.6f, \
-            \"p999_ms\": %.6f, \"max_ms\": %.6f, \"base_ops_s\": %.3f, \
-            \"sat_ops_s\": %.3f, \"scale\": %S, \"jobs\": %d, \
-            \"cores\": %d}%s\n"
-           (fs_to_string r.r_cell.fs)
-           (Disk.Disk_queue.policy_to_string r.r_cell.policy)
-           r.r_cell.depth row.load row.rate_ops_s row.throughput_ops_s row.n
-           row.mean_ms row.p50_ms row.p99_ms row.p999_ms row.max_ms
-           r.base_ops_s r.sat_ops_s scale_s jobs
-           (Par.detected_cores ())
-           (if i = n - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "]\n";
-  Buffer.contents b
+let json_of results =
+  Json.List
+    (List.concat_map
+       (fun r ->
+         List.map
+           (fun row ->
+             Json.Obj
+               [
+                 ("fs", Json.String (fs_to_string r.r_cell.fs));
+                 ("policy", Json.String (Disk.Disk_queue.policy_to_string r.r_cell.policy));
+                 ("depth", Json.Int r.r_cell.depth);
+                 ("load", Json.Float row.load);
+                 ("rate_ops_s", Json.Float row.rate_ops_s);
+                 ("throughput_ops_s", Json.Float row.throughput_ops_s);
+                 ("n", Json.Int row.n);
+                 ("mean_ms", Json.Float row.mean_ms);
+                 ("p50_ms", Json.Float row.p50_ms);
+                 ("p99_ms", Json.Float row.p99_ms);
+                 ("p999_ms", Json.Float row.p999_ms);
+                 ("max_ms", Json.Float row.max_ms);
+                 ("base_ops_s", Json.Float r.base_ops_s);
+                 ("sat_ops_s", Json.Float r.sat_ops_s);
+               ])
+           r.rows)
+       results)
+
+let merge results = (Table.render (table_of results), json_of results)

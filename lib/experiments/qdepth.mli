@@ -11,53 +11,19 @@
     replays Poisson arrivals at multiples of the {e depth-1 FIFO}
     saturation rate of the same stream, reporting achieved throughput
     and p50/p99/p999 completion latency per offered load.  Everything is
-    derived from the cell coordinates, so cells parallelize through
-    {!Par.map} with byte-identical output for any [--jobs]. *)
+    derived from the cell coordinates, so {!Suite} runs the cells as
+    parallel jobs with byte-identical output for any [--jobs]. *)
 
-type fs = Ufs | Lfs | Vlfs
+type result
+(** One cell's saturation rates and per-load rows. *)
 
-val fs_to_string : fs -> string
+val subs :
+  ?seed:int -> scale:Rigs.scale -> unit -> (string * (unit -> result)) list
+(** One labelled job per (fs × policy × depth) cell: 45 at every scale.
+    [seed] (default 0) salts every cell's derived PRNG seeds. *)
 
-type cell = { fs : fs; depth : int; policy : Disk.Disk_queue.policy }
-
-val cell_label : cell -> string
-
-type row = {
-  load : float;  (** offered-load multiplier of the depth-1 FIFO rate *)
-  rate_ops_s : float;  (** offered arrival rate, requests per second *)
-  throughput_ops_s : float;  (** achieved completion rate *)
-  n : int;
-  mean_ms : float;
-  p50_ms : float;
-  p99_ms : float;
-  p999_ms : float;
-  max_ms : float;
-}
-
-type result = {
-  r_cell : cell;
-  base_ops_s : float;  (** depth-1 FIFO saturation rate of this stream *)
-  sat_ops_s : float;  (** saturation rate at the cell's depth and policy *)
-  rows : row list;
-}
-
-val depths : int list
-(** {[1; 4; 8; 16; 32]} at every scale. *)
-
-val cells : scale:Rigs.scale -> cell list
-
-val run_cell : ?seed:int -> scale:Rigs.scale -> cell -> result
-
-val run : ?seed:int -> jobs:int -> scale:Rigs.scale -> unit -> result list
-(** All cells through the parallel pool, in {!cells} order.  [seed]
-    (default 0) salts every cell's derived PRNG seeds.  A crashed cell
-    raises [Failure]. *)
-
-val table_of : result list -> Vlog_util.Table.t
-
-val to_json : scale:Rigs.scale -> jobs:int -> result list -> string
-(** One JSON array with a record per (cell × row): keys [fs], [depth],
-    [policy], [load], [rate_ops_s], [throughput_ops_s], [n], [mean_ms],
-    [p50_ms], [p99_ms], [p999_ms], [max_ms], [base_ops_s], [sat_ops_s],
-    [scale], [jobs], [cores] (the host's detected core count, so a
-    recorded run says what hardware produced its [jobs] choice). *)
+val merge : result list -> string * Vlog_util.Json.t
+(** The rendered table, and one JSON record per (cell × load) with keys
+    [fs], [policy], [depth], [load], [rate_ops_s], [throughput_ops_s],
+    [n], [mean_ms], [p50_ms], [p99_ms], [p999_ms], [max_ms],
+    [base_ops_s], [sat_ops_s]. *)

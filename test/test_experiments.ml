@@ -206,27 +206,36 @@ let test_ablation_blocksize_matched_is_best () =
   Alcotest.(check bool) "model ordering" true (skips 8 < skips 1);
   table_nonempty (Ablations.block_size ~scale:Rigs.Quick ())
 
-(* The experiment suite through the worker pool: the rendered tables and
-   the simulated-time accounting must be identical whether the cells run
-   in-process or fanned out to workers. *)
+(* The experiment suite through the worker pool: for the figure that
+   reports per-cell percentiles and every study, the rendered tables, the
+   machine-readable result and the simulated-time accounting must be
+   identical whether the cells run in-process or fanned out to workers. *)
 let test_suite_jobs_invariant () =
-  let run jobs =
-    match
-      Suite.run ~jobs ~timeout_s:600. ~scale:Rigs.Quick ~names:[ "fig8" ] ()
-    with
-    | [ t ] -> t
-    | _ -> Alcotest.fail "expected exactly one timing"
+  let names = [ "fig8"; "qdepth"; "array"; "array-faults"; "nvm" ] in
+  let run jobs = Suite.run ~jobs ~timeout_s:600. ~scale:Rigs.Quick ~names () in
+  let result (t : Suite.timing) =
+    match t.Suite.t_result with
+    | Some r -> Vlog_util.Json.to_string r
+    | None -> Alcotest.failf "%s: no result" t.Suite.t_name
   in
-  let seq = run 1 and par = run 4 in
-  Alcotest.(check string) "rendered output identical" seq.Suite.t_output
-    par.Suite.t_output;
-  (* Summation order differs between the in-process and forked paths
-     (the sequential path accumulates the global simulated clock across
-     cells), so simulated time agrees to the JSON schema's millisecond
-     precision rather than to the last bit. *)
-  Alcotest.(check (float 0.001)) "simulated time identical" seq.Suite.t_sim_ms
-    par.Suite.t_sim_ms;
-  Alcotest.(check (list string)) "no failures" [] (seq.Suite.t_failures @ par.Suite.t_failures)
+  let seqs = run 1 and pars = run 2 in
+  Alcotest.(check (list string)) "one timing per experiment" names
+    (List.map (fun (t : Suite.timing) -> t.Suite.t_name) pars);
+  List.iter2
+    (fun (seq : Suite.timing) (par : Suite.timing) ->
+      let name = seq.Suite.t_name in
+      Alcotest.(check (list string)) (name ^ ": no failures") []
+        (seq.Suite.t_failures @ par.Suite.t_failures);
+      Alcotest.(check string) (name ^ ": rendered output identical")
+        seq.Suite.t_output par.Suite.t_output;
+      Alcotest.(check string) (name ^ ": result identical") (result seq) (result par);
+      (* Summation order differs between the in-process and forked paths
+         (the sequential path accumulates the global simulated clock
+         across cells), so simulated time agrees to a millisecond's
+         thousandth rather than to the last bit. *)
+      Alcotest.(check (float 0.001)) (name ^ ": simulated time identical")
+        seq.Suite.t_sim_ms par.Suite.t_sim_ms)
+    seqs pars
 
 let suites =
   [

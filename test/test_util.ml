@@ -248,9 +248,45 @@ let test_table_cells () =
 
 (* ---- property tests ---- *)
 
+(* ---- Json ---- *)
+
+let test_json_non_finite () =
+  List.iter
+    (fun f -> Alcotest.(check string) (string_of_float f) "null" (Json.to_string (Json.Float f)))
+    [ nan; infinity; neg_infinity ]
+
+let test_json_escapes () =
+  List.iter
+    (fun (s, want) -> Alcotest.(check string) want want (Json.to_string (Json.String s)))
+    [
+      ("\x01", {|"\u0001"|});
+      ("\"", {|"\""|});
+      ("\\", {|"\\"|});
+      ("\xe9", {|"\u00e9"|});
+      ("a\nb\tc", {|"a\nb\tc"|});
+    ]
+
+let test_json_key_order () =
+  let v =
+    Json.Obj
+      [
+        ("z", Json.Int 1);
+        ("a", Json.Obj [ ("y", Json.List [ Json.Null; Json.Bool true ]); ("b", Json.Float 2.5) ]);
+        ("m", Json.Null);
+      ]
+  in
+  Alcotest.(check string) "nested, in order" {|{"z":1,"a":{"y":[null,true],"b":2.5},"m":null}|}
+    (Json.to_string v)
+
 let qcheck_tests =
   let open QCheck in
   [
+    (* Any bit pattern: normals, subnormals, signed zeros. *)
+    Test.make ~name:"json finite float round-trips" ~count:2000 int64 (fun bits ->
+        let f = Int64.float_of_bits bits in
+        assume (Float.is_finite f);
+        Int64.equal bits
+          (Int64.bits_of_float (float_of_string (Json.to_string (Json.Float f)))));
     Test.make ~name:"percentile within min..max" ~count:200
       (pair (list_of_size Gen.(1 -- 50) (float_range 0. 100.)) (float_range 0. 1.))
       (fun (xs, p) ->
@@ -332,6 +368,12 @@ let suites =
         Alcotest.test_case "renders" `Quick test_table_renders;
         Alcotest.test_case "rejects wide row" `Quick test_table_rejects_wide_row;
         Alcotest.test_case "cells" `Quick test_table_cells;
+      ] );
+    ( "util:json",
+      [
+        Alcotest.test_case "non-finite is null" `Quick test_json_non_finite;
+        Alcotest.test_case "string escapes" `Quick test_json_escapes;
+        Alcotest.test_case "key order" `Quick test_json_key_order;
       ] );
     ("util:properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]
