@@ -1,20 +1,39 @@
 (* File-system-level crash/fault sweep: the generalization of
    [Fault.Sweep] (which exercises the virtual log disk alone) one layer
-   up.  Each cell of the (rig x fault kind x trigger) matrix runs a
-   seeded metadata-heavy workload against a real file system stack with
-   a fault plan installed, freezes the platters when the fault cuts the
-   power (or after a clean shutdown when it does not), remounts from the
-   frozen image on a fresh drive, and then holds the recovered system to
-   account three ways:
+   up.  Every cell of the (rig x fault kind x trigger) matrix runs one
+   protocol, whatever the rig:
 
-   - fsck: the per-FS invariant checker must come back clean, except for
-     honest media findings under single-copy damage;
-   - durability oracle: the recovered namespace and content must be a
-     legal post-crash state of the operation history (strict old-or-new
-     for power cuts and torn writes; regression-tolerant but
-     fabrication-free for bit rot and grown defects);
-   - idempotence: remounting the recovered system's platters again must
-     produce the same namespace, sizes, and degradation.
+   1. seed the scenario and build the stack fresh;
+   2. install the fault plan, run a seeded metadata-heavy workload, and
+      flush the plan;
+   3. shut down cleanly, unless the fault cut the power;
+   4. freeze the media and remount from the frozen image on fresh drives;
+   5. judge the recovered system three ways:
+      - fsck: the per-FS invariant checker, plus the rig's own checkers,
+        must come back clean, except for honest media findings where the
+        plan hurt a sole copy;
+      - durability oracle: the recovered namespace and content must be a
+        legal post-crash state of the operation history (strict
+        old-or-new for power cuts and torn writes; regression-tolerant
+        but fabrication-free for bit rot and grown defects);
+      - idempotence: remounting the recovered system's frozen media
+        again must produce the same namespace, sizes, and degradation;
+   6. return the judgement.
+
+   One stack builder covers all five device kinds and carries what
+   differs between the three families:
+
+   - plain (vld, regular, direct): the plan lands on the drive, or on
+     the remount drive for kinds that strike recovery; no shutdown step;
+     the freeze is the one drive; media findings are allowed for media
+     kinds; the oracle is strict or lax by kind.
+   - volume: the plan lands on leg [case mod legs]; shutdown settles the
+     volume; the freeze is every leg; [Volume_check] runs next to fsck;
+     stripes allow media findings and are judged by kind, mirrors allow
+     none and are judged [Redundant].
+   - NVM-WAL: the plan lands on both the drive and the NVM; shutdown
+     drains the log, and a failed drain is a violation; the freeze is the
+     drive plus the NVM's persisted image; no media findings; [Strict].
 
    Regular-disk rigs skip [Grown_defect]: a plain disk's remap table is
    volatile firmware state here, so the data behind a defect is honestly
@@ -215,12 +234,12 @@ type cell = { rig : rig; kind : Fault.Plan.kind; trigger : int; case : int }
 
 (* ---- Rig plumbing ---- *)
 
-let profile c = Disk.Profile.with_cylinders Disk.Profile.st19101 c.cylinders
+let profile_of c = Disk.Profile.with_cylinders Disk.Profile.st19101 c.cylinders
 
 let sector_bytes c =
-  (profile c).Disk.Profile.geometry.Disk.Geometry.sector_bytes
+  (profile_of c).Disk.Profile.geometry.Disk.Geometry.sector_bytes
 
-let make_disk ?store c rig clock =
+let make_disk ?store ~profile rig clock =
   let buffer_policy =
     match rig.on with
     | D_regular | D_volume (_, VL_regular) | D_nvm W_regular ->
@@ -228,7 +247,7 @@ let make_disk ?store c rig clock =
     | D_vld | D_direct | D_volume (_, VL_vld) | D_nvm W_vld ->
       Disk.Track_buffer.Whole_track
   in
-  Disk.Disk_sim.create ~buffer_policy ?store ~profile:(profile c) ~clock ()
+  Disk.Disk_sim.create ~buffer_policy ?store ~profile ~clock ()
 
 let spare_blocks = 8
 
@@ -320,107 +339,235 @@ let wrap_vlfs t =
     o_sync_each = vlfs_cfg.Vlfs.sync_writes;
   }
 
-let fresh_dev c rig ~disk ~prng =
-  match rig.on with
-  | D_vld ->
-    Blockdev.Vld.device
-      (Blockdev.Vld.create ~disk ~logical_blocks:c.logical_blocks ~prng ())
-  | D_regular ->
-    Blockdev.Regular_disk.device
-      (Blockdev.Regular_disk.create ~disk ~spare_blocks ())
-  | D_direct -> invalid_arg "direct rigs have no logical-disk layer"
-  | D_volume _ -> invalid_arg "volume rigs build their device in run_volume_cell"
-  | D_nvm _ -> invalid_arg "nvm rigs build their device in run_wal_cell"
+(* ---- One stack builder for every device family ---- *)
 
-let fresh_fs c rig ~disk ~clock ~prng =
-  match rig.fs with
-  | F_vlfs -> wrap_vlfs (Vlfs.format ~disk ~host:Host.free ~clock vlfs_cfg)
-  | F_ufs ->
-    wrap_ufs
-      (Ufs.format ~dev:(fresh_dev c rig ~disk ~prng) ~host:Host.free ~clock
-         ufs_cfg)
-  | F_lfs ->
-    wrap_lfs
-      (Lfs.format ~dev:(fresh_dev c rig ~disk ~prng) ~host:Host.free ~clock
-         lfs_cfg)
+type typed = T_ufs of Ufs.t | T_lfs of Lfs.t | T_vlfs of Vlfs.t
 
-(* Remount from the platters; [notes] surfaces the recovery counters the
-   mount reported (orphans cleared, dangling entries dropped, inodes
-   skipped) for fsck presentation. *)
-let mount_fs rig ~disk ~clock ~prng : (ops * (string * int) list, string) result
-    =
+(* A stack's frozen media: every drive's platters in leg order, plus the
+   NVM's persisted image on a staged rig. *)
+type frozen = { drives : Disk.Sector_store.t array; nvm : Bytes.t option }
+
+type source =
+  | Fresh of Prng.t
+      (** format, splitting the scenario PRNG once for the stack on
+          plain and volume rigs (even where the stack ignores it) *)
+  | Frozen of frozen  (** remount; every remount reseeds its PRNG *)
+
+type stack = {
+  typed : typed;
+  ops : ops;
+  notes : (string * int) list;
+      (* the mount's recovery counters (orphans cleared, dangling entries
+         dropped, inodes skipped), for fsck presentation; [] when fresh *)
+  settle : unit -> (unit, string) result;  (* the clean-shutdown step *)
+  freeze : unit -> frozen;
+  extra_checks : unit -> (string * Report.t) list;
+}
+
+let vol_shape = function
+  | V_stripe -> Volume.Stripe 2
+  | V_mirror -> Volume.Mirror 2
+  | V_raid10 -> Volume.Stripe_of_mirrors (2, 2)
+
+let vol_leg_kind = function
+  | VL_vld -> Volume.Vld_leg
+  | VL_regular -> Volume.Regular_leg
+
+(* NVM-WAL rig parameters.  The log is deliberately small so destaging
+   happens inline (backpressure) during the short sweep workload —
+   otherwise the crash-mid-destage cells would find no backing-disk
+   writes to strike.  [Nvm_full] cells shrink it to a handful of records
+   so nearly every append pays the drain. *)
+let wal_log_bytes = 64 * 1024
+let wal_tiny_log_bytes = 20 * 1024
+
+(* Build [rig] fresh or remount it from a frozen image, on a fresh clock.
+   [plan], when given, lands where the family puts it: after the format
+   on a fresh stack, before recovery on a remount (so it strikes the
+   recovery itself).  [case] picks a volume's victim leg. *)
+let build ?profile ?(case = 0) ?(nvm_log_bytes = wal_log_bytes) (c : config)
+    rig ~seed ?plan source : (stack, string) result =
   let ( let* ) = Result.bind in
-  let* dev =
+  let profile = Option.value profile ~default:(profile_of c) in
+  let clock = Clock.create () in
+  let drive ?store () = make_disk ?store ~profile rig clock in
+  let n_drives =
     match rig.on with
-    | D_direct -> Ok None
-    | D_regular ->
-      Ok
-        (Some
-           (Blockdev.Regular_disk.device
-              (Blockdev.Regular_disk.create ~disk ~spare_blocks ())))
-    | D_vld -> (
-      match Blockdev.Vld.recover ~disk ~prng () with
-      | Ok (vld, _) -> Ok (Some (Blockdev.Vld.device vld))
-      | Error e -> Error ("vld: " ^ e))
-    | D_volume _ ->
-      Error "volume rigs recover all their legs in run_volume_cell"
-    | D_nvm _ -> Error "nvm rigs replay their log in run_wal_cell"
+    | D_volume (l, _) -> Volume.n_legs (vol_shape l)
+    | D_vld | D_regular | D_direct | D_nvm _ -> 1
   in
-  match (rig.fs, dev) with
-  | F_vlfs, None -> (
-    match Vlfs.recover ~disk ~host:Host.free ~config:vlfs_cfg () with
-    | Error e -> Error ("vlfs: " ^ e)
-    | Ok (t, r) ->
+  let* disks =
+    match source with
+    | Fresh _ -> Ok (Array.init n_drives (fun _ -> drive ()))
+    | Frozen f when Array.length f.drives = n_drives ->
+      Ok (Array.map (fun store -> drive ~store ()) f.drives)
+    | Frozen f ->
+      Error
+        (Printf.sprintf "%s needs %d drive(s), the image holds %d"
+           (rig_name rig) n_drives (Array.length f.drives))
+  in
+  let* nvm =
+    match (rig.on, source) with
+    | D_nvm _, Fresh _ -> Ok (Some (Nvm.Nvm_sim.create ~clock ()))
+    | D_nvm _, Frozen { nvm = Some image; _ } ->
+      Ok (Some (Nvm.Nvm_sim.create ~image ~clock ()))
+    | D_nvm _, Frozen { nvm = None; _ } ->
+      Error (rig_name rig ^ " needs an NVM image, the image holds none")
+    | (D_vld | D_regular | D_direct | D_volume _), _ -> Ok None
+  in
+  let place p =
+    Fault.Plan.install p disks.(case mod n_drives);
+    Option.iter (Fault.Plan.install_nvm p) nvm
+  in
+  let fresh = match source with Fresh _ -> true | Frozen _ -> false in
+  if not fresh then Option.iter place plan;
+  let prng =
+    match (source, rig.on) with
+    | Fresh p, (D_vld | D_regular | D_direct | D_volume _) -> Prng.split p
+    | Fresh _, D_nvm _ | Frozen _, _ -> Prng.create ~seed
+  in
+  let logical ~vld disk =
+    if not vld then
       Ok
-        ( wrap_vlfs t,
-          [
-            ("inodes_skipped", r.Vlfs.inodes_skipped);
-            ("dangling_dropped", r.Vlfs.dangling_dropped);
-          ] ))
-  | F_ufs, Some dev -> (
-    match Ufs.mount ~dev ~host:Host.free ~clock ufs_cfg with
-    | Error e -> Error ("ufs: " ^ e)
-    | Ok (t, r) ->
+        (Blockdev.Regular_disk.device
+           (Blockdev.Regular_disk.create ~disk ~spare_blocks ()))
+    else if fresh then
       Ok
-        ( wrap_ufs t,
-          [
-            ("orphans_cleared", r.Ufs.orphans_cleared);
-            ("dangling_dropped", r.Ufs.dangling_dropped);
-          ] ))
-  | F_lfs, Some dev -> (
-    match Lfs.recover ~dev ~host:Host.free ~clock lfs_cfg with
-    | Error e -> Error ("lfs: " ^ e)
-    | Ok (t, r) ->
+        (Blockdev.Vld.device
+           (Blockdev.Vld.create ~disk ~logical_blocks:c.logical_blocks ~prng ()))
+    else
+      match Blockdev.Vld.recover ~disk ~prng () with
+      | Ok (vld, _) -> Ok (Blockdev.Vld.device vld)
+      | Error e -> Error ("vld: " ^ e)
+  in
+  let same_drives () = disks and no_settle () = Ok () and no_checks () = [] in
+  let* base, legs, settle, extra_checks =
+    match rig.on with
+    | D_direct -> Ok (`Disk disks.(0), same_drives, no_settle, no_checks)
+    | D_vld | D_regular ->
+      let* dev = logical ~vld:(rig.on = D_vld) disks.(0) in
+      Ok (`Dev dev, same_drives, no_settle, no_checks)
+    | D_volume (layout, leg) ->
+      let layout = vol_shape layout and leg_kind = vol_leg_kind leg in
+      let spare () = drive () in
+      let logical_blocks = c.logical_blocks in
+      let* vol =
+        if fresh then
+          Ok
+            (Volume.create ~spare ~layout ~leg_kind ~logical_blocks ~disks
+               ~prng ())
+        else
+          match
+            Volume.recover ~spare ~layout ~leg_kind ~logical_blocks ~disks
+              ~prng ()
+          with
+          | Error e -> Error ("volume: " ^ e)
+          | Ok (vol, _) ->
+            (* finish any rebuild the recovery started for a dead-on-arrival
+               leg before judging: redundancy must be restorable, not just
+               restored-in-principle *)
+            Volume.settle vol;
+            Ok vol
+      in
+      (* A clean shutdown parks the volume too: suspects resolve or
+         retire, rebuilds finish, dirty regions drain. *)
       Ok
-        ( wrap_lfs t,
-          [
-            ("inodes_skipped", r.Lfs.inodes_skipped);
-            ("dangling_dropped", r.Lfs.dangling_dropped);
-            ("corrupt_items", r.Lfs.corrupt_items);
-          ] ))
-  | _ -> Error "rig mismatch"
+        ( `Dev (Volume.device vol),
+          (fun () -> Volume.disks vol),
+          (fun () -> Ok (Volume.settle vol)),
+          fun () -> [ ("volume", Volume_check.check vol) ] )
+    | D_nvm backing ->
+      let nvm = Option.get nvm in
+      let* inner = logical ~vld:(backing = W_vld) disks.(0) in
+      let config =
+        {
+          Nvm.Nvm_wal.default_config with
+          Nvm.Nvm_wal.log_bytes = Some nvm_log_bytes;
+        }
+      in
+      let* wal =
+        if fresh then Ok (Nvm.Nvm_wal.create ~config ~nvm ~inner ())
+        else
+          match Nvm.Nvm_wal.recover ~config ~nvm ~inner () with
+          | Ok (wal, _) -> Ok wal
+          | Error e ->
+            Error (Format.asprintf "wal: %a" Blockdev.Device.pp_io_error e)
+      in
+      (* A clean shutdown parks the staging tier too: everything staged
+         destages and the log resets. *)
+      let drain () =
+        Result.map_error
+          (Format.asprintf "clean-shutdown drain failed: %a"
+             Blockdev.Device.pp_io_error)
+          (Nvm.Nvm_wal.drain wal)
+      in
+      Ok (`Dev (Nvm.Nvm_wal.device wal), same_drives, drain, no_checks)
+  in
+  let host = Host.free in
+  let* typed, notes =
+    match (rig.fs, base) with
+    | F_ufs, `Dev dev -> (
+      if fresh then Ok (T_ufs (Ufs.format ~dev ~host ~clock ufs_cfg), [])
+      else
+        match Ufs.mount ~dev ~host ~clock ufs_cfg with
+        | Error e -> Error ("ufs: " ^ e)
+        | Ok (t, r) ->
+          Ok
+            ( T_ufs t,
+              [
+                ("orphans_cleared", r.Ufs.orphans_cleared);
+                ("dangling_dropped", r.Ufs.dangling_dropped);
+              ] ))
+    | F_lfs, `Dev dev -> (
+      if fresh then Ok (T_lfs (Lfs.format ~dev ~host ~clock lfs_cfg), [])
+      else
+        match Lfs.recover ~dev ~host ~clock lfs_cfg with
+        | Error e -> Error ("lfs: " ^ e)
+        | Ok (t, r) ->
+          Ok
+            ( T_lfs t,
+              [
+                ("inodes_skipped", r.Lfs.inodes_skipped);
+                ("dangling_dropped", r.Lfs.dangling_dropped);
+                ("corrupt_items", r.Lfs.corrupt_items);
+              ] ))
+    | F_vlfs, `Disk disk -> (
+      if fresh then Ok (T_vlfs (Vlfs.format ~disk ~host ~clock vlfs_cfg), [])
+      else
+        match Vlfs.recover ~disk ~host ~config:vlfs_cfg () with
+        | Error e -> Error ("vlfs: " ^ e)
+        | Ok (t, r) ->
+          Ok
+            ( T_vlfs t,
+              [
+                ("inodes_skipped", r.Vlfs.inodes_skipped);
+                ("dangling_dropped", r.Vlfs.dangling_dropped);
+              ] ))
+    | _ -> Error (rig_name rig ^ ": file system and device do not fit")
+  in
+  if fresh then Option.iter place plan;
+  let ops =
+    match typed with
+    | T_ufs t -> wrap_ufs t
+    | T_lfs t -> wrap_lfs t
+    | T_vlfs t -> wrap_vlfs t
+  in
+  let freeze () =
+    {
+      drives =
+        Array.map
+          (fun d -> Disk.Sector_store.snapshot (Disk.Disk_sim.store d))
+          (legs ());
+      nvm = Option.map Nvm.Nvm_sim.snapshot nvm;
+    }
+  in
+  Ok { typed; ops; notes; settle; freeze; extra_checks }
 
 (* ---- The sweep itself ---- *)
 
 (* Distinct committed-content tag per write: identifies which attempted
    version a recovered sector carries, never '\000' (= hole/absent). *)
 let tag ~version = Char.chr (1 + (version * 53 mod 255))
-
-let workload_time = function
-  | Fault.Plan.Torn_write | Fault.Plan.Bit_rot | Fault.Plan.Grown_defect
-  | Fault.Plan.Power_cut ->
-    true
-  (* drive-level faults strike a running volume leg; recovery-time
-     injection would miss the degraded-mode machinery entirely *)
-  | Fault.Plan.Drive_death | Fault.Plan.Drive_hang _ | Fault.Plan.Drive_flaky _
-  | Fault.Plan.Latent_sectors _ ->
-    true
-  (* NVM kinds cut the power while the staged workload runs, whether the
-     strike lands on the persist barrier or on a destage write *)
-  | Fault.Plan.Nvm_cut | Fault.Plan.Nvm_torn | Fault.Plan.Nvm_destage_cut
-  | Fault.Plan.Nvm_full ->
-    true
-  | Fault.Plan.Transient_read _ -> false
 
 (* A regular disk's grown-defect remap table is volatile here: after a
    remount the data behind the defect is honestly gone, so the cell has
@@ -440,6 +587,47 @@ let excluded rig kind =
   (* the WAL slice is about the staging tier's persistence boundary;
      media and drive kinds stay with the plain and volume slices *)
   | D_nvm _ -> not (Fault.Plan.is_nvm_kind kind)
+
+(* Only a plain rig moves a recovery-time kind's plan to the remount
+   drive; volume legs and staged rigs take every plan during the
+   workload. *)
+let strikes_recovery rig kind =
+  match rig.on with
+  | D_vld | D_regular | D_direct -> not (Fault.Plan.workload_time kind)
+  | D_volume _ | D_nvm _ -> false
+
+(* fsck may report [Io_unreadable]/[Bad_checksum] only where the plan can
+   hurt a sole copy: media kinds on a plain rig, anything on a stripe.
+   A mirror must mask the fault completely, and NVM kinds never damage
+   media.  [Unflushed] is informational everywhere: a freshly recovered
+   FS legitimately holds state the next checkpoint will persist. *)
+let media_findings_allowed rig kind =
+  match rig.on with
+  | D_vld | D_regular | D_direct -> (
+    match kind with
+    | Fault.Plan.Bit_rot | Fault.Plan.Grown_defect | Fault.Plan.Torn_write ->
+      true
+    | _ -> false)
+  | D_volume (V_stripe, _) -> true
+  | D_volume ((V_mirror | V_raid10), _) | D_nvm _ -> false
+
+let kind_mode = function
+  | Fault.Plan.Power_cut | Fault.Plan.Torn_write | Fault.Plan.Transient_read _
+  | Fault.Plan.Drive_hang _ | Fault.Plan.Drive_flaky _ | Fault.Plan.Nvm_cut
+  | Fault.Plan.Nvm_torn | Fault.Plan.Nvm_destage_cut | Fault.Plan.Nvm_full ->
+    Oracle.Strict
+  | Fault.Plan.Bit_rot | Fault.Plan.Grown_defect | Fault.Plan.Drive_death
+  | Fault.Plan.Latent_sectors _ ->
+    Oracle.Lax
+
+(* Mirrors are held to strict plus reread stability across legs; every
+   NVM kind is a power-cut flavor, so a write that returned [Ok] crossed
+   the persist barrier and must survive. *)
+let oracle_mode rig kind =
+  match rig.on with
+  | D_volume ((V_mirror | V_raid10), _) -> Oracle.Redundant
+  | D_nvm _ -> Oracle.Strict
+  | D_vld | D_regular | D_direct | D_volume (V_stripe, _) -> kind_mode kind
 
 let view_of fso =
   {
@@ -517,456 +705,97 @@ let run_workload (c : config) fso oracle ~wprng ~cut =
   | Disk.Disk_sim.Power_cut -> cut := true
   | Blockdev.Device.Io_error _ | Disk.Disk_sim.Media_failure _ -> ()
 
-(* [fails] is newest first, as the cell bodies accumulate it. *)
-let judgement ~injected ~cut ~degraded ~oracle_checks fails =
-  {
-    Fault.Cell.injected;
-    loss = false;
-    counters =
-      [
-        ("power cuts", if cut then 1 else 0);
-        ("degraded recoveries", if degraded then 1 else 0);
-        ("oracle checks", oracle_checks);
-      ];
-    violations = List.rev fails;
-  }
+let is_degraded fso =
+  match fso.o_mode () with `Degraded _ -> true | `Rw -> false
 
-let run_plain_cell (c : config) ~rig ~kind ~trigger ~case =
-  let scenario_seed = Int64.add c.seed (Int64.of_int (case * 6029)) in
-  let clock = Clock.create () in
-  let disk = make_disk c rig clock in
-  let prng = Prng.create ~seed:scenario_seed in
-  let fso = fresh_fs c rig ~disk ~clock ~prng:(Prng.split prng) in
-  let plan = Fault.Plan.create kind ~trigger ~seed:(Int64.add scenario_seed 1L) in
-  if workload_time kind then Fault.Plan.install plan disk;
-  let oracle = Oracle.create ~sector_bytes:(sector_bytes c) in
-  let cut = ref false in
-  run_workload c fso oracle ~wprng:(Prng.split prng) ~cut;
-  Fault.Plan.flush plan;
-  let frozen = Disk.Sector_store.snapshot (Disk.Disk_sim.store disk) in
+let run_cell (c : config) { rig; kind; trigger; case } =
+  let seed = Int64.add c.seed (Int64.of_int (case * 6029)) in
+  let nvm_log_bytes =
+    if kind = Fault.Plan.Nvm_full then wal_tiny_log_bytes else wal_log_bytes
+  in
+  let build = build c rig ~seed ~case ~nvm_log_bytes in
   let fails = ref [] in
   let failf fmt = Printf.ksprintf (fun m -> fails := m :: !fails) fmt in
-  let degraded = ref false in
-  let oracle_checks = ref 0 in
-  let recovery_plan = ref None in
-  let mount_from store ~faulty =
-    let clock2 = Clock.create () in
-    let disk2 = make_disk ~store c rig clock2 in
-    if faulty then begin
-      let p =
-        Fault.Plan.create kind ~trigger ~seed:(Int64.add scenario_seed 2L)
-      in
-      Fault.Plan.install p disk2;
-      recovery_plan := Some p
-    end;
-    match
-      mount_fs rig ~disk:disk2 ~clock:clock2
-        ~prng:(Prng.create ~seed:scenario_seed)
-    with
+  let remount ?plan frozen =
+    match build ?plan (Frozen frozen) with
+    | Ok st -> Some st
     | Error e ->
       failf "mount aborted: %s" e;
       None
-    | Ok (fso2, _notes) -> Some (fso2, disk2)
   in
-  (match mount_from frozen ~faulty:(not (workload_time kind)) with
-  | None -> ()
-  | Some (fso2, disk2) ->
-    (match fso2.o_mode () with
-    | `Degraded _ -> degraded := true
-    | `Rw -> ());
-    (* fsck: clean, except honest media findings where the plan hurt a
-       sole copy. *)
-    let report = fso2.o_check () in
-    (* [Unflushed] is informational everywhere: a freshly recovered FS
-       legitimately holds state the next checkpoint will persist. *)
-    let allowed =
-      Report.Unflushed
-      ::
-      (match kind with
-      | Fault.Plan.Bit_rot | Fault.Plan.Grown_defect | Fault.Plan.Torn_write
-        ->
-        [ Report.Io_unreadable; Report.Bad_checksum ]
-      | _ -> [])
-    in
-    List.iter
-      (fun (f : Report.finding) ->
-        if not (List.mem f.Report.category allowed) then
-          failf "fsck: [%s] %s"
-            (Report.category_to_string f.Report.category)
-            f.Report.detail)
-      report.Report.findings;
-    (* Durability oracle. *)
-    let mode =
-      match kind with
-      | Fault.Plan.Power_cut | Fault.Plan.Torn_write
-      | Fault.Plan.Transient_read _ | Fault.Plan.Drive_hang _
-      | Fault.Plan.Drive_flaky _ | Fault.Plan.Nvm_cut | Fault.Plan.Nvm_torn
-      | Fault.Plan.Nvm_destage_cut | Fault.Plan.Nvm_full ->
-        Oracle.Strict
-      | Fault.Plan.Bit_rot | Fault.Plan.Grown_defect | Fault.Plan.Drive_death
-      | Fault.Plan.Latent_sectors _ ->
-        Oracle.Lax
-    in
-    incr oracle_checks;
-    List.iter
-      (fun m -> failf "oracle: %s" m)
-      (Oracle.check oracle ~mode (view_of fso2));
-    (* Recovery idempotence: remounting the recovered platters changes
-       nothing. *)
-    let again = Disk.Sector_store.snapshot (Disk.Disk_sim.store disk2) in
-    (match mount_from again ~faulty:false with
-    | None -> ()
-    | Some (fso3, _) ->
-      let signature f =
-        List.map
-          (fun n ->
-            (n, match f.o_size n with Ok s -> s | Error _ -> -1))
-          (List.sort compare (f.o_files ()))
-      in
-      if signature fso2 <> signature fso3 then
-        failf "remount is not idempotent (namespace or sizes changed)";
-      let deg f = match f.o_mode () with `Degraded _ -> true | `Rw -> false in
-      if deg fso2 <> deg fso3 then failf "degraded mode is not idempotent"));
-  let injected =
-    Fault.Plan.fired plan
-    ||
-    match !recovery_plan with Some p -> Fault.Plan.fired p | None -> false
+  let plan_at n = Fault.Plan.create kind ~trigger ~seed:(Int64.add seed n) in
+  let plan = plan_at 1L in
+  let recovery_plan =
+    if strikes_recovery rig kind then Some (plan_at 2L) else None
   in
-  judgement ~injected ~cut:!cut ~degraded:!degraded ~oracle_checks:!oracle_checks
-    !fails
-
-let vol_shape = function
-  | V_stripe -> Volume.Stripe 2
-  | V_mirror -> Volume.Mirror 2
-  | V_raid10 -> Volume.Stripe_of_mirrors (2, 2)
-
-let vol_leg_kind = function
-  | VL_vld -> Volume.Vld_leg
-  | VL_regular -> Volume.Regular_leg
-
-(* A volume cell: same workload and judging protocol, but the file
-   system runs on a [Volume] over several drives and the fault plan is
-   installed on one victim leg (rotating with the case number).  A
-   mirrored volume must mask the fault completely: fsck and the
-   volume's own mirror-consistency walk may show nothing beyond
-   [Unflushed], and the oracle runs in [Redundant] mode (strict plus
-   reread stability across legs).  A stripe has no redundancy, so it is
-   judged like single-copy media. *)
-let run_volume_cell (c : config) ~rig ~layout ~leg ~kind ~trigger ~case =
-  let vlayout = vol_shape layout in
-  let lkind = vol_leg_kind leg in
-  let n = Volume.n_legs vlayout in
-  let scenario_seed = Int64.add c.seed (Int64.of_int (case * 6029)) in
-  let clock = Clock.create () in
-  let disks = Array.init n (fun _ -> make_disk c rig clock) in
-  let spare () = make_disk c rig clock in
-  let prng = Prng.create ~seed:scenario_seed in
-  let vol =
-    Volume.create ~spare ~layout:vlayout ~leg_kind:lkind
-      ~logical_blocks:c.logical_blocks ~disks ~prng:(Prng.split prng) ()
-  in
-  let fso =
-    match rig.fs with
-    | F_ufs ->
-      wrap_ufs (Ufs.format ~dev:(Volume.device vol) ~host:Host.free ~clock ufs_cfg)
-    | F_lfs ->
-      wrap_lfs (Lfs.format ~dev:(Volume.device vol) ~host:Host.free ~clock lfs_cfg)
-    | F_vlfs -> invalid_arg "vlfs has no volume rig"
-  in
-  let victim = case mod n in
-  let plan = Fault.Plan.create kind ~trigger ~seed:(Int64.add scenario_seed 1L) in
-  Fault.Plan.install plan disks.(victim);
-  let oracle = Oracle.create ~sector_bytes:(sector_bytes c) in
-  let cut = ref false in
-  run_workload c fso oracle ~wprng:(Prng.split prng) ~cut;
-  Fault.Plan.flush plan;
-  (* A clean shutdown parks the volume too: suspects resolve or retire,
-     rebuilds finish, dirty regions drain.  A power cut skips straight
-     to the frozen platters, mid-flight state and all. *)
-  if not !cut then Volume.settle vol;
-  let freeze v =
-    Array.map
-      (fun d -> Disk.Sector_store.snapshot (Disk.Disk_sim.store d))
-      (Volume.disks v)
-  in
-  let frozen = freeze vol in
-  let fails = ref [] in
-  let failf fmt = Printf.ksprintf (fun m -> fails := m :: !fails) fmt in
-  let degraded = ref false in
-  let oracle_checks = ref 0 in
-  let mirrored =
-    match vlayout with
-    | Volume.Stripe _ -> false
-    | Volume.Mirror _ | Volume.Stripe_of_mirrors _ -> true
-  in
-  let mount_from stores =
-    let clock2 = Clock.create () in
-    let disks2 = Array.map (fun st -> make_disk ~store:st c rig clock2) stores in
-    let spare2 () = make_disk c rig clock2 in
-    match
-      Volume.recover ~spare:spare2 ~layout:vlayout ~leg_kind:lkind
-        ~logical_blocks:c.logical_blocks ~disks:disks2
-        ~prng:(Prng.create ~seed:scenario_seed) ()
-    with
-    | Error e ->
-      failf "volume recover: %s" e;
-      None
-    | Ok (vol2, _rep) -> (
-      (* finish any rebuild the recovery started for a dead-on-arrival
-         leg before judging: redundancy must be restorable, not just
-         restored-in-principle *)
-      Volume.settle vol2;
-      let dev2 = Volume.device vol2 in
-      let mounted =
-        match rig.fs with
-        | F_ufs -> (
-          match Ufs.mount ~dev:dev2 ~host:Host.free ~clock:clock2 ufs_cfg with
-          | Error e -> Error ("ufs: " ^ e)
-          | Ok (t, _) -> Ok (wrap_ufs t))
-        | F_lfs -> (
-          match Lfs.recover ~dev:dev2 ~host:Host.free ~clock:clock2 lfs_cfg with
-          | Error e -> Error ("lfs: " ^ e)
-          | Ok (t, _) -> Ok (wrap_lfs t))
-        | F_vlfs -> Error "vlfs has no volume rig"
-      in
-      match mounted with
-      | Error e ->
-        failf "mount aborted: %s" e;
-        None
-      | Ok fso2 -> Some (vol2, fso2))
-  in
-  (match mount_from frozen with
-  | None -> ()
-  | Some (vol2, fso2) ->
-    (match fso2.o_mode () with
-    | `Degraded _ -> degraded := true
-    | `Rw -> ());
-    let allowed =
-      Report.Unflushed
-      :: (if mirrored then [] else [ Report.Io_unreadable; Report.Bad_checksum ])
-    in
-    let judge label (report : Report.t) =
-      List.iter
-        (fun (f : Report.finding) ->
-          if not (List.mem f.Report.category allowed) then
-            failf "%s: [%s] %s" label
-              (Report.category_to_string f.Report.category)
-              f.Report.detail)
-        report.Report.findings
-    in
-    judge "fsck" (fso2.o_check ());
-    judge "volume" (Volume_check.check vol2);
-    let mode =
-      if mirrored then Oracle.Redundant
-      else
-        match kind with
-        | Fault.Plan.Power_cut | Fault.Plan.Torn_write
-        | Fault.Plan.Transient_read _ | Fault.Plan.Drive_hang _
-        | Fault.Plan.Drive_flaky _ | Fault.Plan.Nvm_cut | Fault.Plan.Nvm_torn
-        | Fault.Plan.Nvm_destage_cut | Fault.Plan.Nvm_full ->
-          Oracle.Strict
-        | Fault.Plan.Bit_rot | Fault.Plan.Grown_defect
-        | Fault.Plan.Drive_death | Fault.Plan.Latent_sectors _ ->
-          Oracle.Lax
-    in
-    incr oracle_checks;
-    List.iter
-      (fun m -> failf "oracle: %s" m)
-      (Oracle.check oracle ~mode (view_of fso2));
-    (* Recovery idempotence, volume edition: recovering the recovered
-       legs' platters again changes nothing. *)
-    let again = freeze vol2 in
-    match mount_from again with
-    | None -> ()
-    | Some (_, fso3) ->
-      let signature f =
-        List.map
-          (fun nm -> (nm, match f.o_size nm with Ok s -> s | Error _ -> -1))
-          (List.sort compare (f.o_files ()))
-      in
-      if signature fso2 <> signature fso3 then
-        failf "remount is not idempotent (namespace or sizes changed)";
-      let deg f = match f.o_mode () with `Degraded _ -> true | `Rw -> false in
-      if deg fso2 <> deg fso3 then failf "degraded mode is not idempotent");
-  judgement ~injected:(Fault.Plan.fired plan) ~cut:!cut ~degraded:!degraded
-    ~oracle_checks:!oracle_checks !fails
-
-(* NVM-WAL rig parameters.  The log is deliberately small so destaging
-   happens inline (backpressure) during the short sweep workload —
-   otherwise the crash-mid-destage cells would find no backing-disk
-   writes to strike.  [Nvm_full] cells shrink it to a handful of records
-   so nearly every append pays the drain. *)
-let wal_log_bytes = 64 * 1024
-let wal_tiny_log_bytes = 20 * 1024
-
-(* A WAL cell: the same workload and judging protocol as a plain cell,
-   but the file system's device is an [Nvm_wal] staging tier over the
-   logical disk, and the fault plan watches the tier's own counters —
-   NVM persist barriers for [Nvm_cut]/[Nvm_torn], backing-disk writes
-   for [Nvm_destage_cut]/[Nvm_full].  The freeze captures both failure
-   domains (the platters and the NVM's persisted image); the remount
-   replays the NVM log over the disk before the FS's own recovery runs.
-   Every NVM kind is a power-cut flavor — no media damage — so the
-   oracle runs in [Strict] mode: a write that returned [Ok] crossed the
-   persist barrier and must survive, while volatile-front residue
-   belongs to operations that never returned. *)
-let run_wal_cell (c : config) ~rig ~backing ~kind ~trigger ~case =
-  let scenario_seed = Int64.add c.seed (Int64.of_int (case * 6029)) in
-  let wal_config =
-    {
-      Nvm.Nvm_wal.default_config with
-      Nvm.Nvm_wal.log_bytes =
-        Some
-          (match kind with
-          | Fault.Plan.Nvm_full -> wal_tiny_log_bytes
-          | _ -> wal_log_bytes);
-    }
-  in
-  let make_inner ~disk ~fresh =
-    match backing with
-    | W_vld ->
-      if fresh then
-        Ok
-          (Blockdev.Vld.device
-             (Blockdev.Vld.create ~disk ~logical_blocks:c.logical_blocks
-                ~prng:(Prng.create ~seed:scenario_seed) ()))
-      else (
-        match
-          Blockdev.Vld.recover ~disk ~prng:(Prng.create ~seed:scenario_seed) ()
-        with
-        | Ok (vld, _) -> Ok (Blockdev.Vld.device vld)
-        | Error e -> Error ("vld: " ^ e))
-    | W_regular ->
-      Ok
-        (Blockdev.Regular_disk.device
-           (Blockdev.Regular_disk.create ~disk ~spare_blocks ()))
-  in
-  let fs_fresh ~dev ~clock =
-    match rig.fs with
-    | F_ufs -> wrap_ufs (Ufs.format ~dev ~host:Host.free ~clock ufs_cfg)
-    | F_lfs -> wrap_lfs (Lfs.format ~dev ~host:Host.free ~clock lfs_cfg)
-    | F_vlfs -> invalid_arg "vlfs has no nvm rig"
-  in
-  let fs_mount ~dev ~clock =
-    match rig.fs with
-    | F_ufs -> (
-      match Ufs.mount ~dev ~host:Host.free ~clock ufs_cfg with
-      | Error e -> Error ("ufs: " ^ e)
-      | Ok (t, _) -> Ok (wrap_ufs t))
-    | F_lfs -> (
-      match Lfs.recover ~dev ~host:Host.free ~clock lfs_cfg with
-      | Error e -> Error ("lfs: " ^ e)
-      | Ok (t, _) -> Ok (wrap_lfs t))
-    | F_vlfs -> Error "vlfs has no nvm rig"
-  in
-  let clock = Clock.create () in
-  let disk = make_disk c rig clock in
-  let prng = Prng.create ~seed:scenario_seed in
-  let nvm = Nvm.Nvm_sim.create ~clock () in
-  let fails = ref [] in
-  let failf fmt = Printf.ksprintf (fun m -> fails := m :: !fails) fmt in
-  match make_inner ~disk ~fresh:true with
-  | Error e ->
-    failf "format aborted: %s" e;
-    judgement ~injected:false ~cut:false ~degraded:false ~oracle_checks:0 !fails
-  | Ok inner ->
-    let wal = Nvm.Nvm_wal.create ~config:wal_config ~nvm ~inner () in
-    let fso = fs_fresh ~dev:(Nvm.Nvm_wal.device wal) ~clock in
-    let plan =
-      Fault.Plan.create kind ~trigger ~seed:(Int64.add scenario_seed 1L)
-    in
-    (* One plan, both failure domains: whichever counter the kind
-       watches decides where it strikes. *)
-    Fault.Plan.install plan disk;
-    Fault.Plan.install_nvm plan nvm;
+  let cut = ref false and degraded = ref false and oracle_checks = ref 0 in
+  (* 1. seed and build *)
+  let prng = Prng.create ~seed in
+  (match
+     build
+       ?plan:(if Option.is_some recovery_plan then None else Some plan)
+       (Fresh prng)
+   with
+  | Error e -> failf "format aborted: %s" e
+  | Ok st -> (
+    (* 2. the plan is in place; run the workload under it *)
     let oracle = Oracle.create ~sector_bytes:(sector_bytes c) in
-    let cut = ref false in
-    run_workload c fso oracle ~wprng:(Prng.split prng) ~cut;
+    run_workload c st.ops oracle ~wprng:(Prng.split prng) ~cut;
     Fault.Plan.flush plan;
-    (* A clean shutdown parks the staging tier too: everything staged
-       destages and the log resets.  A power cut freezes both domains
-       mid-flight. *)
-    if not !cut then (
-      match Nvm.Nvm_wal.drain wal with
-      | Ok () -> ()
-      | Error e ->
-        failf "clean-shutdown drain failed: %s"
-          (Format.asprintf "%a" Blockdev.Device.pp_io_error e));
-    let frozen = (Disk.Sector_store.snapshot (Disk.Disk_sim.store disk),
-                  Nvm.Nvm_sim.snapshot nvm)
-    in
-    let degraded = ref false in
-    let oracle_checks = ref 0 in
-    let mount_from (dstore, nimg) =
-      let clock2 = Clock.create () in
-      let disk2 = make_disk ~store:dstore c rig clock2 in
-      match make_inner ~disk:disk2 ~fresh:false with
-      | Error e ->
-        failf "mount aborted: %s" e;
-        None
-      | Ok inner2 -> (
-        let nvm2 = Nvm.Nvm_sim.create ~image:nimg ~clock:clock2 () in
-        match Nvm.Nvm_wal.recover ~config:wal_config ~nvm:nvm2 ~inner:inner2 ()
-        with
-        | Error e ->
-          failf "wal replay aborted: %s"
-            (Format.asprintf "%a" Blockdev.Device.pp_io_error e);
-          None
-        | Ok (wal2, _report) -> (
-          match fs_mount ~dev:(Nvm.Nvm_wal.device wal2) ~clock:clock2 with
-          | Error e ->
-            failf "mount aborted: %s" e;
-            None
-          | Ok fso2 -> Some (fso2, disk2, nvm2)))
-    in
-    (match mount_from frozen with
+    (* 3. a power cut skips straight to the frozen media, mid-flight
+       state and all *)
+    if not !cut then Result.iter_error (failf "%s") (st.settle ());
+    (* 4. freeze and remount *)
+    match remount ?plan:recovery_plan (st.freeze ()) with
     | None -> ()
-    | Some (fso2, disk2, nvm2) ->
-      (match fso2.o_mode () with
-      | `Degraded _ -> degraded := true
-      | `Rw -> ());
-      (* NVM kinds never damage media, so fsck owes a clean bill beyond
-         the usual informational [Unflushed]. *)
-      let allowed = [ Report.Unflushed ] in
+    | Some st2 -> (
+      (* 5. judge: fsck and the rig's own checkers, the oracle, then
+         idempotence *)
+      if is_degraded st2.ops then degraded := true;
+      let fsck = st2.ops.o_check () in
+      let media = media_findings_allowed rig kind in
       List.iter
-        (fun (f : Report.finding) ->
-          if not (List.mem f.Report.category allowed) then
-            failf "fsck: [%s] %s"
-              (Report.category_to_string f.Report.category)
-              f.Report.detail)
-        (fso2.o_check ()).Report.findings;
-      let mode = Oracle.Strict in
+        (fun (label, (report : Report.t)) ->
+          List.iter
+            (fun (f : Report.finding) ->
+              match f.Report.category with
+              | Report.Unflushed -> ()
+              | Report.Io_unreadable | Report.Bad_checksum when media -> ()
+              | cat ->
+                failf "%s: [%s] %s" label (Report.category_to_string cat)
+                  f.Report.detail)
+            report.Report.findings)
+        (("fsck", fsck) :: st2.extra_checks ());
       incr oracle_checks;
       List.iter
         (fun m -> failf "oracle: %s" m)
-        (Oracle.check oracle ~mode (view_of fso2));
-      (* Recovery idempotence, staged edition: freezing both domains of
-         the recovered pair and replaying again changes nothing — the
-         second replay rewrites what the first already destaged. *)
-      let again = (Disk.Sector_store.snapshot (Disk.Disk_sim.store disk2),
-                   Nvm.Nvm_sim.snapshot nvm2)
-      in
-      match mount_from again with
+        (Oracle.check oracle ~mode:(oracle_mode rig kind) (view_of st2.ops));
+      match remount (st2.freeze ()) with
       | None -> ()
-      | Some (fso3, _, _) ->
+      | Some st3 ->
         let signature f =
           List.map
             (fun n -> (n, match f.o_size n with Ok s -> s | Error _ -> -1))
             (List.sort compare (f.o_files ()))
         in
-        if signature fso2 <> signature fso3 then
+        if signature st2.ops <> signature st3.ops then
           failf "remount is not idempotent (namespace or sizes changed)";
-        let deg f = match f.o_mode () with `Degraded _ -> true | `Rw -> false in
-        if deg fso2 <> deg fso3 then failf "degraded mode is not idempotent");
-    judgement ~injected:(Fault.Plan.fired plan) ~cut:!cut ~degraded:!degraded
-      ~oracle_checks:!oracle_checks !fails
-
-let run_cell (c : config) { rig; kind; trigger; case } =
-  match rig.on with
-  | D_volume (layout, leg) ->
-    run_volume_cell c ~rig ~layout ~leg ~kind ~trigger ~case
-  | D_nvm backing -> run_wal_cell c ~rig ~backing ~kind ~trigger ~case
-  | D_vld | D_regular | D_direct -> run_plain_cell c ~rig ~kind ~trigger ~case
+        if is_degraded st2.ops <> is_degraded st3.ops then
+          failf "degraded mode is not idempotent")));
+  (* 6. the judgement *)
+  {
+    Fault.Cell.injected =
+      Fault.Plan.fired plan
+      || Option.fold ~none:false ~some:Fault.Plan.fired recovery_plan;
+    loss = false;
+    counters =
+      [
+        ("power cuts", if !cut then 1 else 0);
+        ("degraded recoveries", if !degraded then 1 else 0);
+        ("oracle checks", !oracle_checks);
+      ];
+    violations = List.rev !fails;
+  }
 
 (* The matrix in canonical order.  [case] counts only the cells actually
    present (excluded rig/kind pairs are skipped before numbering), is a
@@ -1025,6 +854,65 @@ let sweep =
     run_cell;
   }
 
+(* ---- Small healthy images for the demonstrations and vlsim mkimage ---- *)
+
+(* The image tools run UFS and LFS on a plain disk and VLFS directly on
+   the drive, so the whole image is one drive's platters. *)
+let image_rig fs =
+  match fs with
+  | F_vlfs -> { fs; on = D_direct }
+  | F_ufs | F_lfs -> { fs; on = D_regular }
+
+let or_die which = function
+  | Ok _ -> ()
+  | Error e ->
+    failwith (Format.asprintf "%s: setup failed: %a" which Blockdev.Fs_error.pp e)
+
+let put which fso (name, len, ch) =
+  or_die which (fso.o_create name);
+  or_die which (fso.o_write name ~off:0 (Bytes.make len ch))
+
+(* Where a named file's sole inode copy sits on the drive: the sector
+   holding it, its byte offset there, and its length — a UFS inode slot,
+   or the whole block of an LFS/VLFS inode part 0. *)
+let inode_extent (c : config) st name : (int * int * int, string) result =
+  let sb = sector_bytes c in
+  let inum entries =
+    Option.to_result ~none:(Printf.sprintf "file %S vanished" name)
+      (List.assoc_opt name entries)
+  in
+  let ( let* ) = Result.bind in
+  match st.typed with
+  | T_ufs t ->
+    let* inum = inum (Ufs.dir_entries t) in
+    let bb = Ufs.block_bytes t and ib = Ufs.Inode.bytes_per_inode in
+    let it_start, _ = Ufs.inode_table_span t in
+    let ipb = bb / ib in
+    let byte = inum mod ipb * ib in
+    Ok (((it_start + (inum / ipb)) * bb / sb) + (byte / sb), byte mod sb, ib)
+  | T_lfs t -> (
+    let* inum = inum (Lfs.dir_entries t) in
+    match Lfs.imap_parts t inum with
+    | None | Some [||] ->
+      Error (Printf.sprintf "file %S has no on-disk inode parts" name)
+    | Some parts ->
+      let bb = Lfs.block_bytes t in
+      Ok (parts.(0) * bb / sb, 0, bb))
+  | T_vlfs t -> (
+    let* inum = inum (Vlfs.dir_entries t) in
+    let vl = Vlfs.vlog t in
+    let max_parts =
+      (Vlog.Virtual_log.config vl).Vlog.Virtual_log.logical_blocks
+      / (Vlfs.config t).Vlfs.n_inodes
+    in
+    match Vlog.Virtual_log.lookup vl (inum * max_parts) with
+    | None -> Error (Printf.sprintf "file %S's inode part 0 is not mapped" name)
+    | Some pba ->
+      Ok
+        ( Vlog.Freemap.lba_of_block (Vlog.Virtual_log.freemap vl) pba,
+          0,
+          Vlog.Virtual_log.block_bytes vl ))
+
 (* ---- Seeded degraded-mount demonstrations ---- *)
 
 (* Each demonstration damages the sole copy of one live inode's metadata
@@ -1032,7 +920,7 @@ let sweep =
    [`Degraded], (b) refuses writes with [`Read_only], (c) still serves
    reads of unaffected files. *)
 
-let demo_prng () = Prng.create ~seed:0xDE6AL
+let demo_seed = 0xDE6AL
 
 let expect_degraded which keep fso =
   match fso.o_mode () with
@@ -1053,110 +941,30 @@ let expect_degraded which keep fso =
                           `Read_only"
            which Blockdev.Fs_error.pp e))
 
-let or_die which = function
-  | Ok _ -> ()
-  | Error e ->
-    failwith (Format.asprintf "%s: setup failed: %a" which Blockdev.Fs_error.pp e)
-
 let degraded_demo fsk : (unit, string) result =
   let c = default in
-  let clock = Clock.create () in
-  match fsk with
-  | F_ufs ->
-    let rig = { fs = F_ufs; on = D_regular } in
-    let disk = make_disk c rig clock in
-    let dev =
-      Blockdev.Regular_disk.device
-        (Blockdev.Regular_disk.create ~disk ~spare_blocks ())
-    in
-    let t = Ufs.format ~dev ~host:Host.free ~clock ufs_cfg in
-    or_die "ufs" (Ufs.create t "keep");
-    or_die "ufs" (Ufs.write t "keep" ~off:0 (Bytes.make 1024 'k'));
-    (* Push the victim's inode into the second inode-table block so the
-       damage cannot touch "keep". *)
+  let rig = image_rig fsk in
+  let which = fs_name fsk in
+  let ( let* ) = Result.bind in
+  let prefix r = Result.map_error (fun e -> which ^ ": " ^ e) r in
+  let* st =
+    prefix (build c rig ~seed:demo_seed (Fresh (Prng.create ~seed:demo_seed)))
+  in
+  put which st.ops ("keep", 1024, 'k');
+  (* Push UFS's victim inode into the second inode-table block so the
+     damage cannot touch "keep". *)
+  if fsk = F_ufs then
     for i = 1 to 31 do
-      or_die "ufs" (Ufs.create t (Printf.sprintf "pad%d" i))
+      or_die which (st.ops.o_create (Printf.sprintf "pad%d" i))
     done;
-    or_die "ufs" (Ufs.create t "victim");
-    or_die "ufs" (Ufs.write t "victim" ~off:0 (Bytes.make 1024 'v'));
-    let inum = List.assoc "victim" (Ufs.dir_entries t) in
-    let it_start, _ = Ufs.inode_table_span t in
-    let ipb = Ufs.block_bytes t / Ufs.Inode.bytes_per_inode in
-    let blk = it_start + (inum / ipb) in
-    let byte = inum mod ipb * Ufs.Inode.bytes_per_inode in
-    let sb = sector_bytes c in
-    let lba = (blk * Ufs.block_bytes t / sb) + (byte / sb) in
-    let store = Disk.Disk_sim.store disk in
-    Disk.Sector_store.rot store ~lba ~sectors:1 (demo_prng ());
-    let frozen = Disk.Sector_store.snapshot store in
-    let clock2 = Clock.create () in
-    let disk2 = make_disk ~store:frozen c rig clock2 in
-    let dev2 =
-      Blockdev.Regular_disk.device
-        (Blockdev.Regular_disk.create ~disk:disk2 ~spare_blocks ())
-    in
-    (match Ufs.mount ~dev:dev2 ~host:Host.free ~clock:clock2 ufs_cfg with
-    | Error e -> Error ("ufs: mount aborted: " ^ e)
-    | Ok (t2, _) -> expect_degraded "ufs" "keep" (wrap_ufs t2))
-  | F_lfs ->
-    let rig = { fs = F_lfs; on = D_regular } in
-    let disk = make_disk c rig clock in
-    let dev =
-      Blockdev.Regular_disk.device
-        (Blockdev.Regular_disk.create ~disk ~spare_blocks ())
-    in
-    let t = Lfs.format ~dev ~host:Host.free ~clock lfs_cfg in
-    or_die "lfs" (Lfs.create t "keep");
-    or_die "lfs" (Lfs.write t "keep" ~off:0 (Bytes.make 1024 'k'));
-    or_die "lfs" (Lfs.create t "victim");
-    or_die "lfs" (Lfs.write t "victim" ~off:0 (Bytes.make 1024 'v'));
-    ignore (Lfs.power_down t);
-    let inum = List.assoc "victim" (Lfs.dir_entries t) in
-    (match Lfs.imap_parts t inum with
-    | None | Some [||] -> Error "lfs: victim has no on-disk inode parts"
-    | Some parts ->
-      let sb = sector_bytes c in
-      let lba = parts.(0) * Lfs.block_bytes t / sb in
-      let store = Disk.Disk_sim.store disk in
-      Disk.Sector_store.rot store ~lba ~sectors:1 (demo_prng ());
-      let frozen = Disk.Sector_store.snapshot store in
-      let clock2 = Clock.create () in
-      let disk2 = make_disk ~store:frozen c rig clock2 in
-      let dev2 =
-        Blockdev.Regular_disk.device
-          (Blockdev.Regular_disk.create ~disk:disk2 ~spare_blocks ())
-      in
-      (match Lfs.recover ~dev:dev2 ~host:Host.free ~clock:clock2 lfs_cfg with
-      | Error e -> Error ("lfs: recover aborted: " ^ e)
-      | Ok (t2, _) -> expect_degraded "lfs" "keep" (wrap_lfs t2)))
-  | F_vlfs -> (
-    let rig = { fs = F_vlfs; on = D_direct } in
-    let disk = make_disk c rig clock in
-    let t = Vlfs.format ~disk ~host:Host.free ~clock vlfs_cfg in
-    or_die "vlfs" (Vlfs.create t "keep");
-    or_die "vlfs" (Vlfs.write t "keep" ~off:0 (Bytes.make 1024 'k'));
-    or_die "vlfs" (Vlfs.create t "victim");
-    or_die "vlfs" (Vlfs.write t "victim" ~off:0 (Bytes.make 1024 'v'));
-    ignore (Vlfs.power_down t);
-    let inum = List.assoc "victim" (Vlfs.dir_entries t) in
-    let vl = Vlfs.vlog t in
-    let max_parts =
-      (Vlog.Virtual_log.config vl).Vlog.Virtual_log.logical_blocks
-      / (Vlfs.config t).Vlfs.n_inodes
-    in
-    match Vlog.Virtual_log.lookup vl (inum * max_parts) with
-    | None -> Error "vlfs: victim's inode part 0 is not mapped"
-    | Some pba -> (
-      let fm = Vlog.Virtual_log.freemap vl in
-      let lba = Vlog.Freemap.lba_of_block fm pba in
-      let store = Disk.Disk_sim.store disk in
-      Disk.Sector_store.rot store ~lba ~sectors:1 (demo_prng ());
-      let frozen = Disk.Sector_store.snapshot store in
-      let clock2 = Clock.create () in
-      let disk2 = make_disk ~store:frozen c rig clock2 in
-      match Vlfs.recover ~disk:disk2 ~host:Host.free ~config:vlfs_cfg () with
-      | Error e -> Error ("vlfs: recover aborted: " ^ e)
-      | Ok (t2, _) -> expect_degraded "vlfs" "keep" (wrap_vlfs t2)))
+  put which st.ops ("victim", 1024, 'v');
+  st.ops.o_shutdown ();
+  let* lba, _, _ = prefix (inode_extent c st "victim") in
+  let frozen = st.freeze () in
+  Disk.Sector_store.rot frozen.drives.(0) ~lba ~sectors:1
+    (Prng.create ~seed:demo_seed);
+  let* st2 = prefix (build c rig ~seed:demo_seed (Frozen frozen)) in
+  expect_degraded which "keep" st2.ops
 
 (* ---- Image generation and fsck (vlsim mkimage / vlsim fsck) ---- *)
 
@@ -1198,118 +1006,37 @@ let parse_profile s =
 let make_image ~fs ~corrupt : (Image.header * Disk.Sector_store.t, string) result
     =
   let c = default in
-  let rig =
-    match fs with
-    | F_vlfs -> { fs; on = D_direct }
-    | F_ufs | F_lfs -> { fs; on = D_regular }
-  in
-  let clock = Clock.create () in
-  let disk = make_disk c rig clock in
-  let prng = Prng.create ~seed:0x13A6EL in
+  let rig = image_rig fs in
+  let seed = 0x13A6EL in
+  let ( let* ) = Result.bind in
+  let prefix r = Result.map_error (fun e -> "mkimage: " ^ e) r in
+  let* st = prefix (build c rig ~seed (Fresh (Prng.create ~seed))) in
+  List.iter (put "mkimage" st.ops)
+    [ ("a", 1024, 'a'); ("b", 4096, 'b'); ("c", 8192, 'c') ];
+  st.ops.o_shutdown ();
+  let* lba, off, len = prefix (inode_extent c st "b") in
+  let store = (st.freeze ()).drives.(0) in
+  let prng = Prng.create ~seed in
   let sb = sector_bytes c in
-  let store = Disk.Disk_sim.store disk in
+  (match (corrupt, st.typed) with
+  | C_none, _ -> ()
+  | C_dangling, _ ->
+    let sectors = (off + len + sb - 1) / sb in
+    let buf = Disk.Sector_store.read store ~lba ~sectors in
+    Bytes.fill buf off len '\000';
+    Disk.Sector_store.write store ~lba buf
+  | C_checksum, T_ufs t ->
+    (* Both superblock slots (device blocks 0 and 1): the only
+       checksummed UFS metadata, and losing both degrades the mount. *)
+    Disk.Sector_store.corrupt store ~lba:0 ~sectors:1 prng;
+    Disk.Sector_store.corrupt store ~lba:(Ufs.block_bytes t / sb) ~sectors:1
+      prng
+  | C_checksum, (T_lfs _ | T_vlfs _) ->
+    Disk.Sector_store.corrupt store ~lba ~sectors:1 prng
+  | C_rot, _ -> Disk.Sector_store.rot store ~lba ~sectors:1 prng);
   let header =
     { Image.fs = fs_name rig.fs; dev = dev_name rig.on;
       profile = profile_string c }
-  in
-  let seed_files create write shutdown =
-    List.iter
-      (fun (n, len, ch) ->
-        or_die "mkimage" (create n);
-        or_die "mkimage" (write n (Bytes.make len ch)))
-      [ ("a", 1024, 'a'); ("b", 4096, 'b'); ("c", 8192, 'c') ];
-    shutdown ()
-  in
-  (* Damage one metadata block whose integrity is guarded by a content
-     checksum (LFS and VLFS inode parts). *)
-  let damage_checksummed_block ~lba ~block_bytes = function
-    | C_none -> Ok ()
-    | C_dangling ->
-      Disk.Sector_store.write store ~lba (Bytes.make block_bytes '\000');
-      Ok ()
-    | C_checksum ->
-      Disk.Sector_store.corrupt store ~lba ~sectors:1 prng;
-      Ok ()
-    | C_rot ->
-      Disk.Sector_store.rot store ~lba ~sectors:1 prng;
-      Ok ()
-  in
-  let ( let* ) = Result.bind in
-  let* () =
-    match rig.fs with
-    | F_ufs ->
-      let t = Ufs.format ~dev:(fresh_dev c rig ~disk ~prng) ~host:Host.free
-          ~clock ufs_cfg
-      in
-      seed_files
-        (fun n -> Ufs.create t n)
-        (fun n b -> Ufs.write t n ~off:0 b)
-        (fun () -> ignore (Ufs.sync t));
-      let bb = Ufs.block_bytes t in
-      (match List.assoc_opt "b" (Ufs.dir_entries t) with
-      | None -> Error "mkimage: file b vanished"
-      | Some inum -> (
-        let it_start, _ = Ufs.inode_table_span t in
-        let ipb = bb / Ufs.Inode.bytes_per_inode in
-        let byte = inum mod ipb * Ufs.Inode.bytes_per_inode in
-        let lba = (it_start + (inum / ipb)) * bb / sb + (byte / sb) in
-        match corrupt with
-        | C_none -> Ok ()
-        | C_dangling ->
-          (* Zero b's 128-byte slot in place: the directory entry now
-             names an unused inode. *)
-          let sector = Disk.Sector_store.read store ~lba ~sectors:1 in
-          Bytes.fill sector (byte mod sb) Ufs.Inode.bytes_per_inode '\000';
-          Disk.Sector_store.write store ~lba sector;
-          Ok ()
-        | C_checksum ->
-          (* Both superblock slots (device blocks 0 and 1): the only
-             checksummed UFS metadata, and losing both degrades the
-             mount. *)
-          Disk.Sector_store.corrupt store ~lba:0 ~sectors:1 prng;
-          Disk.Sector_store.corrupt store ~lba:(bb / sb) ~sectors:1 prng;
-          Ok ()
-        | C_rot ->
-          Disk.Sector_store.rot store ~lba ~sectors:1 prng;
-          Ok ()))
-    | F_lfs -> (
-      let t = Lfs.format ~dev:(fresh_dev c rig ~disk ~prng) ~host:Host.free
-          ~clock lfs_cfg
-      in
-      seed_files
-        (fun n -> Lfs.create t n)
-        (fun n b -> Lfs.write t n ~off:0 b)
-        (fun () -> ignore (Lfs.power_down t));
-      match List.assoc_opt "b" (Lfs.dir_entries t) with
-      | None -> Error "mkimage: file b vanished"
-      | Some inum -> (
-        match Lfs.imap_parts t inum with
-        | None | Some [||] -> Error "mkimage: file b has no inode parts"
-        | Some parts ->
-          damage_checksummed_block
-            ~lba:(parts.(0) * Lfs.block_bytes t / sb)
-            ~block_bytes:(Lfs.block_bytes t) corrupt))
-    | F_vlfs -> (
-      let t = Vlfs.format ~disk ~host:Host.free ~clock vlfs_cfg in
-      seed_files
-        (fun n -> Vlfs.create t n)
-        (fun n b -> Vlfs.write t n ~off:0 b)
-        (fun () -> ignore (Vlfs.power_down t));
-      match List.assoc_opt "b" (Vlfs.dir_entries t) with
-      | None -> Error "mkimage: file b vanished"
-      | Some inum -> (
-        let vl = Vlfs.vlog t in
-        let max_parts =
-          (Vlog.Virtual_log.config vl).Vlog.Virtual_log.logical_blocks
-          / (Vlfs.config t).Vlfs.n_inodes
-        in
-        match Vlog.Virtual_log.lookup vl (inum * max_parts) with
-        | None -> Error "mkimage: file b's inode part 0 is not mapped"
-        | Some pba ->
-          let fm = Vlog.Virtual_log.freemap vl in
-          damage_checksummed_block
-            ~lba:(Vlog.Freemap.lba_of_block fm pba)
-            ~block_bytes:(Vlog.Virtual_log.block_bytes vl) corrupt))
   in
   Ok (header, store)
 
@@ -1353,24 +1080,16 @@ let fsck_image (h : Image.header) store : (fsck_result, string) result =
   let ( let* ) = Result.bind in
   let* profile = parse_profile h.Image.profile in
   let* rig = rig_of_string (h.Image.fs ^ "/" ^ h.Image.dev) in
-  let clock = Clock.create () in
-  let buffer_policy =
-    match rig.on with
-    | D_regular | D_volume (_, VL_regular) | D_nvm W_regular ->
-      Disk.Track_buffer.Forward_discard
-    | D_vld | D_direct | D_volume (_, VL_vld) | D_nvm W_vld ->
-      Disk.Track_buffer.Whole_track
+  let* st =
+    build ~profile default rig ~seed:0x5EC7L
+      (Frozen { drives = [| store |]; nvm = None })
   in
-  let disk = Disk.Disk_sim.create ~buffer_policy ~store ~profile ~clock () in
-  let* fso, notes =
-    mount_fs rig ~disk ~clock ~prng:(Prng.create ~seed:0x5EC7L)
-  in
-  let report = fso.o_check () in
+  let report = st.ops.o_check () in
   let report =
     {
       report with
-      Report.findings = findings_of_notes notes @ report.Report.findings;
+      Report.findings = findings_of_notes st.notes @ report.Report.findings;
     }
   in
-  Ok { fr_header = h; fr_mode = fso.o_mode (); fr_report = report;
-       fr_notes = notes }
+  Ok { fr_header = h; fr_mode = st.ops.o_mode (); fr_report = report;
+       fr_notes = st.notes }

@@ -1,9 +1,10 @@
 (** File-system-level crash/fault sweep: the {!Fault.Sweep} idea lifted
     one layer up.  Each cell runs a seeded metadata-heavy workload on a
-    full stack (file system x logical-disk layer) with a fault plan
-    installed, freezes the platters, remounts on a fresh drive, and
-    judges the result with the per-FS fsck checker, the durability
-    {!Oracle}, and a remount-idempotence comparison. *)
+    full stack (file system x device: a drive, a volume, or an NVM
+    write-ahead tier) with a fault plan installed, freezes the media,
+    remounts on fresh drives, and judges the result with the per-FS
+    fsck checker, the durability {!Oracle}, and a remount-idempotence
+    comparison.  One stack builder and one cell body serve every rig. *)
 
 type fs_kind = F_ufs | F_lfs | F_vlfs
 
@@ -84,10 +85,25 @@ val sweep : (config, cell) Fault.Cell.t
 (** The (rig, kind, trigger) matrix — single-spindle slice, then the
     volume slice, then the NVM-WAL slice; [case] numbers only the cells
     actually present — its repro string
-    ["rig=ufs/vld,seed=9203,kind=torn,trigger=5,case=37"], and the cell
-    body: workload under fault, freeze, remount, fsck, oracle,
-    idempotence.  Counters: ["power cuts"], ["degraded recoveries"]
-    (remounts that came up read-only), ["oracle checks"]. *)
+    ["rig=ufs/vld,seed=9203,kind=torn,trigger=5,case=37"], and one cell
+    body for every rig: build, install the plan, run the workload,
+    flush the plan, shut down cleanly unless the power was cut, freeze,
+    remount, then judge with fsck plus the rig's extra checkers, the
+    oracle, and remount idempotence.  What differs per family comes
+    with the stack:
+    - plain rigs put the plan on the drive (on the remount drive for
+      [Transient_read], which strikes recovery), have no shutdown step,
+      allow media findings for torn, rot and defect, and judge the
+      oracle strict or lax by kind;
+    - volume rigs put the plan on leg [case mod legs], settle the volume
+      on shutdown, freeze every leg, add {!Volume_check}, allow media
+      findings on stripes only, and hold mirrors to [Redundant];
+    - NVM-WAL rigs put the plan on the drive and the NVM, drain the log
+      on shutdown (a failed drain is a violation), freeze the drive plus
+      the NVM image, allow no media findings, and judge [Strict].
+
+    Counters: ["power cuts"], ["degraded recoveries"] (remounts that
+    came up read-only), ["oracle checks"]. *)
 
 val degraded_demo : fs_kind -> (unit, string) result
 (** Seeded corruption of one live inode's sole metadata copy on an

@@ -81,6 +81,13 @@ let is_nvm_kind = function
   | Drive_death | Drive_hang _ | Drive_flaky _ | Latent_sectors _ ->
     false
 
+let workload_time = function
+  | Transient_read _ -> false
+  | Torn_write | Bit_rot | Grown_defect | Power_cut | Drive_death
+  | Drive_hang _ | Drive_flaky _ | Latent_sectors _ | Nvm_cut | Nvm_torn
+  | Nvm_destage_cut | Nvm_full ->
+    true
+
 type t = {
   kind : kind;
   trigger : int;

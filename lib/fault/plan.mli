@@ -85,6 +85,13 @@ val is_nvm_kind : kind -> bool
     boundary.  NVM kinds only make sense on a rig with an {!Nvm_wal}
     in front of the disk; the plain sweeps reject them. *)
 
+val workload_time : kind -> bool
+(** Whether the kind strikes while the workload runs.  Only
+    [Transient_read] is false: it strikes the recovery after the crash,
+    so a single-drive sweep installs its plan on the remount drive.
+    Drive kinds strike a running volume leg, and NVM kinds cut the power
+    under the staged workload. *)
+
 type t
 
 val create : kind -> trigger:int -> seed:int64 -> t

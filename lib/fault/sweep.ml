@@ -39,19 +39,6 @@ let fresh_disk ?store c clock =
   Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track ?store
     ~profile:(profile c) ~clock ()
 
-(* Fault kinds that strike while the workload runs; [Transient_read]
-   instead strikes the recovery that follows the crash. *)
-let workload_time = function
-  | Plan.Torn_write | Plan.Bit_rot | Plan.Grown_defect | Plan.Power_cut -> true
-  | Plan.Transient_read _ -> false
-  | Plan.Drive_death | Plan.Drive_hang _ | Plan.Drive_flaky _
-  | Plan.Latent_sectors _ ->
-    (* drive kinds belong to volume legs, not this single-spindle sweep *)
-    true
-  | Plan.Nvm_cut | Plan.Nvm_torn | Plan.Nvm_destage_cut | Plan.Nvm_full ->
-    (* NVM kinds belong to staged rigs; this sweep has no staging tier *)
-    true
-
 (* A map node holds at most this many entries, so damage to one node can
    regress at most this many logical blocks. *)
 let max_blast_radius = 16
@@ -66,7 +53,7 @@ let run_cell (c : config) { kind; trigger; with_tail; case } =
       ~prng:(Prng.split prng) ()
   in
   let plan = Plan.create kind ~trigger ~seed:(Int64.add scenario_seed 1L) in
-  if workload_time kind then Plan.install plan disk;
+  if Plan.workload_time kind then Plan.install plan disk;
   let dev = Blockdev.Vld.device vld in
   let block_bytes = Vlog.Virtual_log.block_bytes (Blockdev.Vld.vlog vld) in
   (* Per-block committed history, newest first; [None] = absent.  Updated
@@ -122,7 +109,7 @@ let run_cell (c : config) { kind; trigger; with_tail; case } =
         Vlog.Virtual_log.lookup (Blockdev.Vld.vlog vld2) l)
   in
   let degraded = ref false in
-  (match recover_from frozen ~faulty:(not (workload_time kind)) with
+  (match recover_from frozen ~faulty:(not (Plan.workload_time kind)) with
   | None -> ()
   | Some (vld2, report, disk2) ->
     if report.Vlog.Virtual_log.corrupt_nodes > 0 then degraded := true;

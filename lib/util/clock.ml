@@ -21,4 +21,3 @@ let advance_to t when_ =
   end
 
 let warp t when_ = t.now <- when_
-let reset t = t.now <- 0.

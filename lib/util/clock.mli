@@ -27,10 +27,7 @@ val warp : t -> float -> unit
     advance it while servicing, record the finish, and warp to the next
     device's window. *)
 
-val reset : t -> unit
-
 val advanced_total : unit -> float
 (** Simulated milliseconds consumed so far across every clock created in
-    this process ([reset] does not subtract).  Monotone; meant for
-    harnesses that report the simulated time a run consumed as a delta
-    of two samples. *)
+    this process.  Monotone; meant for harnesses that report the
+    simulated time a run consumed as a delta of two samples. *)

@@ -1440,20 +1440,13 @@ let write_run_result_at t ?owner ~at block buf =
     Trace.exit t.trace sp;
     Error e
 
-let write_batch t ?owner ~at items =
-  Clock.warp t.clock at;
-  exec_writes t ~at ?owner items
-
-let read_batch t ?owner ~at blocks =
-  Clock.warp t.clock at;
-  exec_reads t ~at ?owner blocks
+let write_batch t ?owner ~at items = exec_writes t ~at ?owner items
+let read_batch t ?owner ~at blocks = exec_reads t ~at ?owner blocks
 
 let write_batch_report t ?owner ~at items =
-  Clock.warp t.clock at;
   exec_writes_report t ~at ?owner items
 
 let read_batch_report t ?owner ~at blocks =
-  Clock.warp t.clock at;
   exec_reads_report t ~at ?owner blocks
 
 let read_result t block = read_result_at t ~at:(Clock.now t.clock) block

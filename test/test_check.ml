@@ -91,7 +91,7 @@ let test_oracle_uncommitted_create_may_vanish () =
 
 (* A trigger the workload can never reach turns a sweep cell into a
    clean build -> shutdown -> remount -> fsck -> oracle -> idempotence
-   roundtrip. *)
+   roundtrip, for every rig family: single drive, volume and NVM-WAL. *)
 let test_clean_roundtrip rig () =
   let o =
     Fault.Cell.run_one Fs_sweep.sweep Fs_sweep.default
@@ -108,11 +108,14 @@ let test_clean_roundtrip rig () =
 
 let test_full_sweep () =
   let o = Fault.Cell.run ~jobs:(Par.default_jobs ()) Fs_sweep.sweep Fs_sweep.default in
-  Alcotest.(check bool) "at least 150 scenarios" true (o.Fault.Cell.cells >= 150);
-  Alcotest.(check bool) "faults actually fired" true (o.Fault.Cell.injected > 100);
-  Alcotest.(check bool) "power cuts exercised" true
-    (Fault.Cell.count o "power cuts" > 0);
-  Alcotest.(check int) "every scenario oracle-checked" o.Fault.Cell.cells
+  (* The matrix's exact totals at seed 9203: a drift in any of them
+     means a cell changed its outcome. *)
+  Alcotest.(check int) "scenarios" 277 o.Fault.Cell.cells;
+  Alcotest.(check int) "faults fired" 257 o.Fault.Cell.injected;
+  Alcotest.(check int) "power cuts" 123 (Fault.Cell.count o "power cuts");
+  Alcotest.(check int) "degraded recoveries" 0
+    (Fault.Cell.count o "degraded recoveries");
+  Alcotest.(check int) "every scenario oracle-checked" 277
     (Fault.Cell.count o "oracle checks");
   match o.Fault.Cell.failures with
   | [] -> ()
@@ -319,7 +322,8 @@ let suites =
           tc
             (Printf.sprintf "clean remount roundtrip (%s)" (Fs_sweep.rig_name rig))
             `Quick (test_clean_roundtrip rig))
-        Fs_sweep.all_rigs );
+        (Fs_sweep.all_rigs @ Fs_sweep.default.Fs_sweep.vol_rigs
+       @ Fs_sweep.default.Fs_sweep.wal_rigs) );
     ( "check:fs-sweep",
       [
         tc "full matrix: >= 150 scenarios, zero violations" `Quick

@@ -217,9 +217,7 @@ let test_clock () =
   Clock.advance_to c 1.0;
   check_float "no backwards" 1.5 (Clock.now c);
   Clock.advance_to c 3.0;
-  check_float "forward" 3.0 (Clock.now c);
-  Clock.reset c;
-  check_float "reset" 0. (Clock.now c)
+  check_float "forward" 3.0 (Clock.now c)
 
 let test_clock_rejects_negative () =
   let c = Clock.create () in
