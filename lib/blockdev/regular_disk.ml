@@ -65,23 +65,24 @@ let phys t block =
 let err = Device.err
 let retry_counters = Device.retry_counters
 
-(* Bounded-retry read of one logical block at its current physical home. *)
-let read_result t block =
+(* Bounded-retry read of one logical block at its current physical home,
+   into [dst] at [pos]. *)
+let read_into t block dst ~pos =
   check t block 1;
   let sp = dev_span t "dev.read" block 1 in
   let lba = phys t block * t.sectors_per_block in
   let bd = ref Breakdown.zero in
   let rec go attempts =
     let r, cost =
-      Disk.Disk_sim.read_checked ~scsi:(attempts = 0) t.disk ~lba
-        ~sectors:t.sectors_per_block
+      Disk.Disk_sim.read_checked_into ~scsi:(attempts = 0) t.disk ~lba
+        ~sectors:t.sectors_per_block dst ~pos
     in
     bd := Breakdown.add !bd cost;
     match r with
-    | Ok data ->
+    | Ok () ->
       if attempts > 0 then Trace.incr (sink t) ~by:attempts "dev.read_retries";
       Trace.exit (sink t) ~bd:!bd sp;
-      Ok (data, Io.make ~span:sp ~counters:(retry_counters attempts) !bd)
+      Ok (Io.make ~span:sp ~counters:(retry_counters attempts) !bd)
     | Error e when e.Disk.Disk_sim.transient && attempts < max_retries ->
       go (attempts + 1)
     | Error e ->
@@ -91,6 +92,10 @@ let read_result t block =
       Error (err ~op:`Read ~block ~e ~retries:attempts)
   in
   go 0
+
+let read_result t block =
+  let dst = Bytes.create t.block_bytes in
+  Result.map (fun c -> (dst, c)) (read_into t block dst ~pos:0)
 
 let note_written t block =
   if Bytes.get t.ever_written block = '\000' then begin
@@ -155,14 +160,15 @@ let merge_counters = Device.merge_counters
 
 (* Multi-block requests stream as one disk command when nothing in the
    range is remapped or faulty; otherwise fall back to per-block service
-   so one bad sector cannot take down the whole transfer. *)
+   so one bad sector cannot take down the whole transfer.  Both paths
+   fill the same result buffer in place. *)
 let read_run_result t block count =
   check t block count;
   let sp = dev_span t "dev.read_run" block count in
+  let out = Bytes.create (count * t.block_bytes) in
   (* [acc] carries the cost of a failed streaming attempt into the
      per-block fallback so the fold stays strictly chronological. *)
   let per_block acc =
-    let out = Bytes.create (count * t.block_bytes) in
     let bd = ref acc in
     let counters = ref [] in
     let rec go i =
@@ -171,9 +177,8 @@ let read_run_result t block count =
         Ok (out, Io.make ~span:sp ~counters:!counters !bd)
       end
       else
-        match read_result t (block + i) with
-        | Ok (data, c) ->
-          Bytes.blit data 0 out (i * t.block_bytes) t.block_bytes;
+        match read_into t (block + i) out ~pos:(i * t.block_bytes) with
+        | Ok c ->
           bd := Breakdown.add !bd c.Io.breakdown;
           counters := merge_counters !counters c.Io.counters;
           go (i + 1)
@@ -186,13 +191,13 @@ let read_run_result t block count =
   if run_remapped t block count then per_block Breakdown.zero
   else
     let r, bd =
-      Disk.Disk_sim.read_checked t.disk ~lba:(block * t.sectors_per_block)
-        ~sectors:(count * t.sectors_per_block)
+      Disk.Disk_sim.read_checked_into t.disk ~lba:(block * t.sectors_per_block)
+        ~sectors:(count * t.sectors_per_block) out ~pos:0
     in
     match r with
-    | Ok data ->
+    | Ok () ->
       Trace.exit (sink t) ~bd sp;
-      Ok (data, Io.make ~span:sp bd)
+      Ok (out, Io.make ~span:sp bd)
     | Error _ -> per_block bd
 
 let write_run_result t block buf =

@@ -110,43 +110,42 @@ let read_result t block =
     go 0
 
 (* Group consecutive logical blocks whose physical locations are also
-   consecutive into single platter requests. *)
+   consecutive into single platter requests, each read straight into its
+   slice of the one result buffer; unmapped blocks are zero-filled. *)
 let read_run_result t block count =
   check t block count;
   let sp = dev_span t "dev.read_run" block count in
-  let out = Bytes.make (count * t.block_bytes) '\000' in
+  let out = Bytes.create (count * t.block_bytes) in
   let bd = ref Breakdown.zero in
   let first_op = ref true in
   let issue ~off ~pba ~blocks =
     let scsi = !first_op in
     first_op := false;
     let r, cost =
-      Disk.Disk_sim.read_checked ~scsi t.disk
+      Disk.Disk_sim.read_checked_into ~scsi t.disk
         ~lba:(Vlog.Freemap.lba_of_block (Vlog.Virtual_log.freemap t.vlog) pba)
         ~sectors:(blocks * t.sectors_per_block)
+        out ~pos:(off * t.block_bytes)
     in
     bd := Breakdown.add !bd cost;
     match r with
-    | Ok data ->
-      Bytes.blit data 0 out (off * t.block_bytes) (Bytes.length data);
-      Ok ()
+    | Ok () -> Ok ()
     | Error e -> Error (Device.err ~op:`Read ~block:(block + off) ~e ~retries:0)
   in
+  let flush ~off ~pba ~blocks = if blocks > 0 then issue ~off ~pba ~blocks else Ok () in
   let rec go i run_start run_pba run_len =
-    let flush () =
-      if run_len > 0 then issue ~off:run_start ~pba:run_pba ~blocks:run_len else Ok ()
-    in
-    if i >= count then flush ()
+    if i >= count then flush ~off:run_start ~pba:run_pba ~blocks:run_len
     else
       match Vlog.Virtual_log.lookup t.vlog (block + i) with
       | None -> (
-        match flush () with
+        Bytes.fill out (i * t.block_bytes) t.block_bytes '\000';
+        match flush ~off:run_start ~pba:run_pba ~blocks:run_len with
         | Ok () -> go (i + 1) (i + 1) 0 0
         | Error _ as e -> e)
       | Some pba ->
         if run_len > 0 && pba = run_pba + run_len then go (i + 1) run_start run_pba (run_len + 1)
         else (
-          match flush () with
+          match flush ~off:run_start ~pba:run_pba ~blocks:run_len with
           | Ok () -> go (i + 1) i pba 1
           | Error _ as e -> e)
   in

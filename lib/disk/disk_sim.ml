@@ -155,26 +155,32 @@ let rotational_delay_from t ~pos ~sector =
 let rotational_delay_to t ~track_index ~sector ~at =
   rotational_delay_from t ~pos:(sector_position_at t ~track_index ~at) ~sector
 
-(* Split [lba, lba+sectors) into per-track contiguous pieces. *)
-let track_pieces t ~lba ~sectors =
+(* Apply [f addr piece] to each per-track contiguous piece of
+   [lba, lba+sectors), in order. *)
+let iter_pieces t ~lba ~sectors f =
   let g = geometry t in
   let n = g.Geometry.sectors_per_track in
-  let rec go lba sectors acc =
-    if sectors = 0 then List.rev acc
-    else
+  let rec go lba sectors =
+    if sectors > 0 then begin
       let addr = Geometry.addr_of_lba g lba in
-      let in_track = n - addr.Geometry.sector in
-      let piece = min sectors in_track in
-      go (lba + piece) (sectors - piece) ((addr, piece) :: acc)
+      let piece = min sectors (n - addr.Geometry.sector) in
+      f addr piece;
+      go (lba + piece) (sectors - piece)
+    end
   in
-  go lba sectors []
+  go lba sectors
+
+let track_pieces t ~lba ~sectors =
+  let acc = ref [] in
+  iter_pieces t ~lba ~sectors (fun addr piece -> acc := (addr, piece) :: !acc);
+  List.rev !acc
 
 (* Mechanically access one within-track piece at the current clock time:
    position, rotate, transfer.  Advances the clock and moves the head.
    Returns the breakdown (no SCSI).  Traced as a leaf "disk.access" span;
    the seek share is in [seek_ms], the rotation share is the span's
    locate minus it. *)
-let access_piece t (addr, piece) =
+let access_piece t addr piece =
   let g = geometry t in
   let mv = move_cost t ~cyl:addr.Geometry.cyl ~track:addr.Geometry.track in
   let sp =
@@ -246,9 +252,54 @@ let bump_busy t start = t.st.c_busy_ms <- t.st.c_busy_ms +. (Clock.now t.clock -
    what a faulted request costs — the head still seeks, rotates and
    attempts the transfer before the drive can report anything. *)
 let mechanics t ~lba ~sectors bd =
-  List.iter
-    (fun piece -> bd := Breakdown.add !bd (access_piece t piece))
-    (track_pieces t ~lba ~sectors)
+  iter_pieces t ~lba ~sectors (fun addr piece ->
+      bd := Breakdown.add !bd (access_piece t addr piece))
+
+(* Close a request: count it, charge its busy time, close its span. *)
+let finish_read t ~sectors ~start sp bd outcome =
+  t.st.c_reads <- t.st.c_reads + 1;
+  t.st.c_sectors_read <- t.st.c_sectors_read + sectors;
+  bump_busy t start;
+  Trace.exit t.trace ~bd:!bd sp;
+  (outcome, !bd)
+
+let finish_write t ~sectors ~start sp bd outcome =
+  t.st.c_writes <- t.st.c_writes + 1;
+  t.st.c_sectors_written <- t.st.c_sectors_written + sectors;
+  bump_busy t start;
+  Trace.exit t.trace ~bd:!bd sp;
+  (outcome, !bd)
+
+(* One within-track piece of a fault-free read: off the track buffer
+   when it holds the sectors, mechanically otherwise. *)
+let serve_read_piece t bd addr piece =
+  let g = geometry t in
+  let track_index = Geometry.track_index g addr in
+  if Track_buffer.hit t.buffer ~track_index ~sector:addr.Geometry.sector ~sectors:piece
+  then begin
+    (* Buffer hit: only the transfer off the buffer is paid. *)
+    let hsp =
+      if Trace.enabled t.trace then Trace.enter t.trace "disk.buffer_hit"
+      else Io.no_span
+    in
+    let xfer = float_of_int piece *. Profile.sector_ms t.profile in
+    Clock.advance t.clock xfer;
+    t.st.c_buffer_hits <- t.st.c_buffer_hits + 1;
+    Trace.incr t.trace "disk.buffer_hits";
+    let hit_bd = Breakdown.of_transfer xfer in
+    Trace.exit t.trace ~bd:hit_bd hsp;
+    bd := Breakdown.add !bd hit_bd
+  end
+  else begin
+    bd := Breakdown.add !bd (access_piece t addr piece);
+    Track_buffer.note_read t.buffer ~track_index ~sector:addr.Geometry.sector
+      ~sectors_per_track:g.Geometry.sectors_per_track
+  end
+
+let invalidate_range t ~lba ~sectors =
+  iter_pieces t ~lba ~sectors (fun addr _ ->
+      Track_buffer.invalidate_track t.buffer
+        ~track_index:(Geometry.track_index (geometry t) addr))
 
 let request_span t name ~lba ~sectors ~scsi =
   if Trace.enabled t.trace then
@@ -262,23 +313,18 @@ let request_span t name ~lba ~sectors ~scsi =
       name
   else Io.no_span
 
-let read_checked ?(scsi = true) t ~lba ~sectors =
+let read_checked_into ?(scsi = true) t ~lba ~sectors dst ~pos =
   if sectors <= 0 then invalid_arg "Disk_sim.read: sectors must be positive";
   let g = geometry t in
   if not (Geometry.valid_lba g lba) || lba + sectors > Geometry.total_sectors g then
     invalid_arg "Disk_sim.read: range out of bounds";
+  if pos < 0 || pos + (sectors * g.Geometry.sector_bytes) > Bytes.length dst then
+    invalid_arg "Disk_sim.read: destination too small";
   let sp = request_span t "disk.read" ~lba ~sectors ~scsi in
   let start = Clock.now t.clock in
   let bd = ref (charge_scsi t scsi) in
   let fault =
     match t.injector with None -> None | Some i -> i.on_read ~lba ~sectors
-  in
-  let finish outcome =
-    t.st.c_reads <- t.st.c_reads + 1;
-    t.st.c_sectors_read <- t.st.c_sectors_read + sectors;
-    bump_busy t start;
-    Trace.exit t.trace ~bd:!bd sp;
-    (outcome, !bd)
   in
   match fault with
   | Some fault ->
@@ -292,39 +338,23 @@ let read_checked ?(scsi = true) t ~lba ~sectors =
       | Transient_read -> { error_lba = lba; transient = true }
       | Unreadable bad -> { error_lba = bad; transient = false }
     in
-    finish (Error err)
+    finish_read t ~sectors ~start sp bd (Error err)
   | None ->
-    let pieces = track_pieces t ~lba ~sectors in
-    let serve (addr, piece) =
-      let track_index = Geometry.track_index g addr in
-      if Track_buffer.hit t.buffer ~track_index ~sector:addr.Geometry.sector ~sectors:piece
-      then begin
-        (* Buffer hit: only the transfer off the buffer is paid. *)
-        let hsp =
-          if Trace.enabled t.trace then Trace.enter t.trace "disk.buffer_hit"
-          else Io.no_span
-        in
-        let xfer = float_of_int piece *. Profile.sector_ms t.profile in
-        Clock.advance t.clock xfer;
-        t.st.c_buffer_hits <- t.st.c_buffer_hits + 1;
-        Trace.incr t.trace "disk.buffer_hits";
-        let hit_bd = Breakdown.of_transfer xfer in
-        Trace.exit t.trace ~bd:hit_bd hsp;
-        bd := Breakdown.add !bd hit_bd
-      end
-      else begin
-        bd := Breakdown.add !bd (access_piece t (addr, piece));
-        Track_buffer.note_read t.buffer ~track_index ~sector:addr.Geometry.sector
-          ~sectors_per_track:g.Geometry.sectors_per_track
-      end
-    in
-    List.iter serve pieces;
+    iter_pieces t ~lba ~sectors (serve_read_piece t bd);
     (match Sector_store.ecc_error t.store ~lba ~sectors with
     | Some bad ->
       t.st.c_read_faults <- t.st.c_read_faults + 1;
       Trace.incr t.trace "disk.read_faults";
-      finish (Error { error_lba = bad; transient = false })
-    | None -> finish (Ok (Sector_store.read t.store ~lba ~sectors)))
+      finish_read t ~sectors ~start sp bd (Error { error_lba = bad; transient = false })
+    | None ->
+      Sector_store.read_into t.store ~lba ~sectors dst ~pos;
+      finish_read t ~sectors ~start sp bd (Ok ()))
+
+let read_checked ?scsi t ~lba ~sectors =
+  let dst = Bytes.create (max 0 sectors * (geometry t).Geometry.sector_bytes) in
+  match read_checked_into ?scsi t ~lba ~sectors dst ~pos:0 with
+  | Ok (), bd -> (Ok dst, bd)
+  | (Error _ as e), bd -> (e, bd)
 
 let read ?scsi t ~lba ~sectors =
   match read_checked ?scsi t ~lba ~sectors with
@@ -345,19 +375,6 @@ let write_checked ?(scsi = true) t ~lba buf =
   let fault =
     match t.injector with None -> None | Some i -> i.on_write ~lba ~sectors
   in
-  let invalidate_all () =
-    List.iter
-      (fun (addr, _) ->
-        Track_buffer.invalidate_track t.buffer ~track_index:(Geometry.track_index g addr))
-      (track_pieces t ~lba ~sectors)
-  in
-  let finish outcome =
-    t.st.c_writes <- t.st.c_writes + 1;
-    t.st.c_sectors_written <- t.st.c_sectors_written + sectors;
-    bump_busy t start;
-    Trace.exit t.trace ~bd:!bd sp;
-    (outcome, !bd)
-  in
   match fault with
   | Some (Torn_write k) ->
     (* Power dies mid-transfer: the first [k] sectors reach the platter
@@ -366,41 +383,37 @@ let write_checked ?(scsi = true) t ~lba buf =
     t.st.c_write_faults <- t.st.c_write_faults + 1;
     Trace.incr t.trace "disk.write_faults";
     let k = max 0 (min k sectors) in
-    invalidate_all ();
+    invalidate_range t ~lba ~sectors;
     if k > 0 then begin
       mechanics t ~lba ~sectors:k bd;
       Sector_store.write t.store ~lba (Bytes.sub buf 0 (k * sb))
     end;
-    ignore (finish (Ok ()));
+    ignore (finish_write t ~sectors ~start sp bd (Ok ()));
     raise Power_cut
   | Some (Unwritable bad) ->
     (* A grown defect surfaces during the write pass: sectors before the
        bad one are on the platter, the command fails. *)
     t.st.c_write_faults <- t.st.c_write_faults + 1;
     Trace.incr t.trace "disk.write_faults";
-    invalidate_all ();
+    invalidate_range t ~lba ~sectors;
     let before = max 0 (min (bad - lba) sectors) in
     mechanics t ~lba ~sectors bd;
     if before > 0 then Sector_store.write t.store ~lba (Bytes.sub buf 0 (before * sb));
-    finish (Error { error_lba = bad; transient = false })
+    finish_write t ~sectors ~start sp bd (Error { error_lba = bad; transient = false })
   | Some Transient_write ->
     (* The command times out or is rejected before any sector lands: the
        platter is untouched, a retry may go through. *)
     t.st.c_write_faults <- t.st.c_write_faults + 1;
     Trace.incr t.trace "disk.write_faults";
-    invalidate_all ();
+    invalidate_range t ~lba ~sectors;
     mechanics t ~lba ~sectors bd;
-    finish (Error { error_lba = lba; transient = true })
+    finish_write t ~sectors ~start sp bd (Error { error_lba = lba; transient = true })
   | None ->
-    let pieces = track_pieces t ~lba ~sectors in
-    let serve (addr, piece) =
-      let track_index = Geometry.track_index g addr in
-      Track_buffer.invalidate_track t.buffer ~track_index;
-      bd := Breakdown.add !bd (access_piece t (addr, piece))
-    in
-    List.iter serve pieces;
+    iter_pieces t ~lba ~sectors (fun addr piece ->
+        Track_buffer.invalidate_track t.buffer ~track_index:(Geometry.track_index g addr);
+        bd := Breakdown.add !bd (access_piece t addr piece));
     Sector_store.write t.store ~lba buf;
-    finish (Ok ())
+    finish_write t ~sectors ~start sp bd (Ok ())
 
 let write ?scsi t ~lba buf =
   match write_checked ?scsi t ~lba buf with

@@ -121,6 +121,14 @@ val read_checked :
     Mechanical time is charged either way — a failed read still seeks,
     rotates and retries for a revolution. *)
 
+val read_checked_into :
+  ?scsi:bool -> t -> lba:int -> sectors:int -> Bytes.t -> pos:int ->
+  (unit, media_error) result * Vlog_util.Breakdown.t
+(** {!read_checked} into a caller-owned buffer: on [Ok] the
+    [sectors] sectors land in [dst] at [pos]; on [Error] [dst] is left
+    untouched.  Same timing, counters and trace as {!read_checked},
+    which is this into a fresh buffer. *)
+
 val write_checked :
   ?scsi:bool -> t -> lba:int -> Bytes.t ->
   (unit, media_error) result * Vlog_util.Breakdown.t

@@ -33,8 +33,8 @@ let chunk t track =
     c
   end
 
-(* Apply [f chunk_opt off len dst_off] to each per-track span of the
-   sector range; [chunk_opt] is [None] for untouched tracks. *)
+(* Apply [f ~track chunk ~off ~len ~dst_off] to each per-track span of
+   the sector range; [chunk] is [Bytes.empty] for untouched tracks. *)
 let iter_spans t ~lba ~sectors f =
   let sb = t.geometry.Geometry.sector_bytes in
   let spt = t.geometry.Geometry.sectors_per_track in
@@ -43,10 +43,7 @@ let iter_spans t ~lba ~sectors f =
     let track = !s / spt in
     let first = !s mod spt in
     let n = min (spt - first) (lba + sectors - !s) in
-    let c = t.chunks.(track) in
-    f ~track (if Bytes.length c > 0 then Some c else None) ~off:(first * sb)
-      ~len:(n * sb)
-      ~dst_off:((!s - lba) * sb);
+    f ~track t.chunks.(track) ~off:(first * sb) ~len:(n * sb) ~dst_off:((!s - lba) * sb);
     s := !s + n
   done
 
@@ -67,14 +64,19 @@ let write t ~lba buf =
   (* A fresh write lays down data and ECC together. *)
   Bytes.fill t.rotten lba sectors '\000'
 
-let read t ~lba ~sectors =
+let read_into t ~lba ~sectors dst ~pos =
   check_range t ~lba ~sectors;
   let sb = t.geometry.Geometry.sector_bytes in
-  let out = Bytes.create (sectors * sb) in
+  if pos < 0 || pos + (sectors * sb) > Bytes.length dst then
+    invalid_arg "Sector_store.read_into: destination too small";
   iter_spans t ~lba ~sectors (fun ~track:_ c ~off ~len ~dst_off ->
-      match c with
-      | Some c -> Bytes.blit c off out dst_off len
-      | None -> Bytes.fill out dst_off len '\000');
+      if Bytes.length c > 0 then Bytes.blit c off dst (pos + dst_off) len
+      else Bytes.fill dst (pos + dst_off) len '\000')
+
+let read t ~lba ~sectors =
+  check_range t ~lba ~sectors;
+  let out = Bytes.create (sectors * t.geometry.Geometry.sector_bytes) in
+  read_into t ~lba ~sectors out ~pos:0;
   out
 
 let written t ~lba =
@@ -115,14 +117,14 @@ let rot t ~lba ~sectors prng =
     Bytes.set t.rotten s '\001'
   done
 
+let rec first_rotten rotten s stop =
+  if s >= stop then None
+  else if Bytes.get rotten s = '\001' then Some s
+  else first_rotten rotten (s + 1) stop
+
 let ecc_error t ~lba ~sectors =
   check_range t ~lba ~sectors;
-  let rec go s =
-    if s >= lba + sectors then None
-    else if Bytes.get t.rotten s = '\001' then Some s
-    else go (s + 1)
-  in
-  go lba
+  first_rotten t.rotten lba (lba + sectors)
 
 (* On-disk image format (vlsim fsck/mkimage): a fixed magic line, the
    four geometry fields, the written/rotten maps, then one presence byte

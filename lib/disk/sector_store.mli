@@ -20,6 +20,12 @@ val read : t -> lba:int -> sectors:int -> Bytes.t
 (** Fresh buffer with the contents of [sectors] sectors from [lba].
     Never-written sectors read as zeroes. *)
 
+val read_into : t -> lba:int -> sectors:int -> Bytes.t -> pos:int -> unit
+(** [read_into t ~lba ~sectors dst ~pos] writes the same bytes {!read}
+    returns into [dst] at [pos], overwriting every byte of the range
+    (never-written sectors become zeroes).  {!read} is this into a fresh
+    buffer. *)
+
 val written : t -> lba:int -> bool
 (** Whether sector [lba] has ever been written. *)
 

@@ -15,14 +15,20 @@ let create ?(slots = 2) policy =
 
 let policy t = t.policy
 
-let hit t ~track_index ~sector ~sectors =
-  let covered s = s.track_index = track_index && sector >= s.lo && sector + sectors <= s.hi in
-  match List.find_opt covered t.entries with
-  | None -> false
-  | Some s ->
-    t.tick <- t.tick + 1;
-    s.age <- t.tick;
-    true
+(* A direct recursion rather than [List.find_opt] over a closure: this
+   runs on every read piece, and allocates nothing. *)
+let rec hit_in t entries ~track_index ~sector ~sectors =
+  match entries with
+  | [] -> false
+  | s :: rest ->
+    if s.track_index = track_index && sector >= s.lo && sector + sectors <= s.hi then begin
+      t.tick <- t.tick + 1;
+      s.age <- t.tick;
+      true
+    end
+    else hit_in t rest ~track_index ~sector ~sectors
+
+let hit t ~track_index ~sector ~sectors = hit_in t t.entries ~track_index ~sector ~sectors
 
 let note_read t ~track_index ~sector ~sectors_per_track =
   t.tick <- t.tick + 1;

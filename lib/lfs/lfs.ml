@@ -185,7 +185,7 @@ let make ~dev ~host ~clock cfg =
     checkpoint_slot = 0;
     gen = 0;
     mode = `Rw;
-    cache = Ufs.Buffer_cache.create ~capacity:cfg.cache_blocks;
+    cache = Ufs.Buffer_cache.create ~capacity:cfg.cache_blocks ~block_bytes;
     dir = [||];
     dir_entries_per_block = block_bytes / 32;
     cleaning = false;
@@ -803,9 +803,9 @@ let read_data_block t ln i =
       (t.arena, slot * t.block_bytes, Breakdown.zero)
     else begin
       match Ufs.Buffer_cache.find t.cache b with
-      | Some bytes ->
+      | Some (bytes, pos) ->
         Trace.incr (sink t) "lfs.cache_hits";
-        (bytes, 0, Breakdown.zero)
+        (bytes, pos, Breakdown.zero)
       | None ->
         let bytes, bd = Blockdev.Device.read t.dev b in
         (* Cache insertion; evicted blocks are clean (LFS data reaches
@@ -877,13 +877,15 @@ and read_inner t name ~off ~len =
       if len = 0 then Ok (Bytes.empty, !bd)
       else begin
         let first = off / t.block_bytes and last = (off + len - 1) / t.block_bytes in
-        let out = Bytes.make len '\000' in
+        (* Every block of [first..last] overlaps [off, off + len), so the
+           loop writes every byte of [out]. *)
+        let out = Bytes.create len in
         for i = first to last do
           let contents, pos, cost = read_data_block t ln i in
           bd := Breakdown.add !bd cost;
           let block_off = i * t.block_bytes in
           let lo = max off block_off and hi = min (off + len) (block_off + t.block_bytes) in
-          if hi > lo then Bytes.blit contents (pos + lo - block_off) out (lo - off) (hi - lo)
+          Bytes.blit contents (pos + lo - block_off) out (lo - off) (hi - lo)
         done;
         Ok (out, !bd)
       end

@@ -96,12 +96,19 @@ let check_range t ~off ~len op =
   if off < 0 || len < 0 || off + len > t.profile.size_bytes then
     invalid_arg (Printf.sprintf "Nvm_sim.%s: [%d, %d) out of range" op off (off + len))
 
-let read t ~off ~len =
+let read_into t ~off ~len dst ~pos =
   check_range t ~off ~len "read";
+  if pos < 0 || pos + len > Bytes.length dst then
+    invalid_arg "Nvm_sim.read_into: destination too small";
   Clock.advance t.clock (t.profile.read_latency_ms +. transfer_ms t len);
   t.nvm_reads <- t.nvm_reads + 1;
   t.bytes_read <- t.bytes_read + len;
-  Bytes.sub t.merged off len
+  Bytes.blit t.merged off dst pos len
+
+let read t ~off ~len =
+  let dst = Bytes.create (max 0 len) in
+  read_into t ~off ~len dst ~pos:0;
+  dst
 
 (* Persist the oldest front entry unconditionally (ADR overflow drain:
    once a store is pushed out of the write-pending queue it has reached

@@ -53,6 +53,10 @@ val read : t -> off:int -> len:int -> Bytes.t
 (** Load [len] bytes at [off] from the merged view (volatile front over
     persisted media).  Charges load latency + transfer time. *)
 
+val read_into : t -> off:int -> len:int -> Bytes.t -> pos:int -> unit
+(** {!read} into a caller-owned buffer at [pos]: the same charge and
+    counters; {!read} is this into a fresh buffer. *)
+
 val write : t -> off:int -> Bytes.t -> unit
 (** Store the buffer at [off].  The data lands in the volatile front and
     is {e not} yet guaranteed durable; the store is visible to

@@ -394,17 +394,22 @@ let dev_write_run t block payload =
     | Error e -> Error e
     | Ok () -> t.inner.Device.write_run block payload
 
+(* Load the staged copy of a block from its log record at [off] into
+   [dst] at [pos]. *)
+let overlay_read_into t off dst ~pos =
+  let clock = Nvm_sim.clock t.nvm in
+  snd
+    (nvm_span
+       (fun () -> Nvm_sim.read_into t.nvm ~off ~len:t.inner.Device.block_bytes dst ~pos)
+       clock)
+
 let dev_read t block =
   match Hashtbl.find_opt t.overlay block with
   | None -> t.inner.Device.read block
   | Some off ->
-    let clock = Nvm_sim.clock t.nvm in
-    let (bytes, bd) =
-      nvm_span
-        (fun () -> Nvm_sim.read t.nvm ~off ~len:t.inner.Device.block_bytes)
-        clock
-    in
-    Ok (bytes, Io.make bd)
+    let dst = Bytes.create t.inner.Device.block_bytes in
+    let bd = overlay_read_into t off dst ~pos:0 in
+    Ok (dst, Io.make bd)
 
 let dev_read_run t block count =
   let bb = t.inner.Device.block_bytes in
@@ -414,15 +419,20 @@ let dev_read_run t block count =
   in
   if not overlaps then t.inner.Device.read_run block count
   else begin
+    (* Staged blocks load straight into the run buffer; the rest come
+       from the inner device one block at a time. *)
     let buf = Bytes.create (count * bb) in
     let rec go i acc =
       if i >= count then Ok acc
       else
-        match dev_read t (block + i) with
-        | Error e -> Error e
-        | Ok (bytes, c) ->
-          Bytes.blit bytes 0 buf (i * bb) bb;
-          go (i + 1) (Breakdown.add acc (Io.bd c))
+        match Hashtbl.find_opt t.overlay (block + i) with
+        | Some off -> go (i + 1) (Breakdown.add acc (overlay_read_into t off buf ~pos:(i * bb)))
+        | None -> (
+          match t.inner.Device.read (block + i) with
+          | Error e -> Error e
+          | Ok (bytes, c) ->
+            Bytes.blit bytes 0 buf (i * bb) bb;
+            go (i + 1) (Breakdown.add acc (Io.bd c)))
     in
     match go 0 Breakdown.zero with
     | Error e -> Error e

@@ -133,7 +133,7 @@ let format ~dev ~host ~clock cfg =
     inode_rover = 0;
     dir = [||];
     dir_entries_per_block = block_bytes / 32;
-    cache = Buffer_cache.create ~capacity:cfg.cache_blocks;
+    cache = Buffer_cache.create ~capacity:cfg.cache_blocks ~block_bytes;
     frag_slots = Hashtbl.create 64;
     frag_data = Hashtbl.create 64;
     last_frag_block = -1;
@@ -199,8 +199,8 @@ let flush_victims t victims =
             Breakdown.add bd (Blockdev.Device.write t.dev block bytes))
           Breakdown.zero victims)
 
-let cache_insert t block bytes ~dirty =
-  let victims = Buffer_cache.insert t.cache block bytes ~dirty in
+let cache_insert t block ?pos bytes ~dirty =
+  let victims = Buffer_cache.insert t.cache block ?pos bytes ~dirty in
   flush_victims t victims
 
 let write_block_sync t block bytes =
@@ -212,18 +212,19 @@ let write_block_sync t block bytes =
 
 let write_block_async t block bytes = cache_insert t block bytes ~dirty:true
 
+(* The block as a cache view [(buf, pos)]; read-only, like every view. *)
 let read_block t block =
   match Buffer_cache.find t.cache block with
-  | Some bytes ->
+  | Some view ->
     Trace.incr (sink t) "ufs.cache_hits";
-    (bytes, Breakdown.zero)
+    (view, Breakdown.zero)
   | None ->
     let tr = sink t in
     let sp = Trace.enter tr "ufs.rblock" in
     let bytes, bd = Blockdev.Device.read t.dev block in
     let total = Breakdown.add bd (cache_insert t block bytes ~dirty:false) in
     Trace.exit tr ~bd:total sp;
-    (bytes, total)
+    ((bytes, 0), total)
 
 (* ---- metadata writes ---- *)
 
@@ -487,11 +488,15 @@ let lookup t name =
 
 let file_size t name = Result.map (fun f -> f.inode.Inode.size) (lookup t name)
 
-(* Read current contents of file block [i] for a read-modify-write, from
-   cache or platter; zeros when unallocated. *)
+(* Current contents of file block [i] for a read-modify-write, from
+   cache or platter, as a fresh block the caller may modify; zeros when
+   unallocated. *)
 let file_block_contents t inode i =
   let b = Inode.get_block inode i in
-  if b < 0 then (Bytes.make t.block_bytes '\000', Breakdown.zero) else read_block t b
+  if b < 0 then (Bytes.make t.block_bytes '\000', Breakdown.zero)
+  else
+    let (buf, pos), bd = read_block t b in
+    (Bytes.sub buf pos t.block_bytes, bd)
 
 let promote_from_frags t file =
   let inode = file.inode in
@@ -613,8 +618,6 @@ and write_blocks t file ~init ~off data =
           (Bytes.sub data (lo - off) t.block_bytes, Breakdown.zero)
         else begin
           let c, read_bd = file_block_contents t inode i in
-          (* Shared cache contents: copy before modifying. *)
-          let c = Bytes.copy c in
           Bytes.blit data (lo - off) c (lo - block_off) (hi - lo);
           (c, read_bd)
         end
@@ -676,57 +679,56 @@ let write t name ~off data =
       else write_inner t name ~init:Breakdown.zero ~off data)
 
 (* Group the device blocks backing file blocks [first..last] into
-   physically consecutive runs and read each run in one request.
+   physically consecutive runs and read each run in one request, caching
+   its blocks as views of the run buffer.  [f i view] receives file
+   block [i]'s contents as a read-only view, [None] for a hole.
    [label] names the group span ("ufs.rblocks" or "ufs.readahead"). *)
-let read_file_blocks t inode ~first ~last ~insert_cache ~label =
+let read_file_blocks t inode ~first ~last ~label ~f =
   let tr = sink t in
   let sp = Trace.enter tr label in
   let bd = ref Breakdown.zero in
-  let chunks = ref [] in
-  let flush run =
-    match run with
-    | [] -> ()
-    | (b0, _) :: _ as run ->
-      let count = List.length run in
-      let data, cost = Blockdev.Device.read_run t.dev b0 count in
+  (* The pending run: file blocks [i0, i0 + n) at device blocks
+     [b0, b0 + n). *)
+  let flush ~b0 ~i0 n =
+    if n > 0 then begin
+      let data, cost = Blockdev.Device.read_run t.dev b0 n in
       bd := Breakdown.add !bd cost;
-      List.iteri
-        (fun k (b, i) ->
-          let piece = Bytes.sub data (k * t.block_bytes) t.block_bytes in
-          if insert_cache then bd := Breakdown.add !bd (cache_insert t b piece ~dirty:false);
-          chunks := (i, piece) :: !chunks)
-        run
+      for k = 0 to n - 1 do
+        let pos = k * t.block_bytes in
+        bd := Breakdown.add !bd (cache_insert t (b0 + k) ~pos data ~dirty:false);
+        f (i0 + k) (Some (data, pos))
+      done
+    end
   in
-  let rec go i run =
-    if i > last then flush (List.rev run)
+  let rec go i ~b0 ~i0 n =
+    if i > last then flush ~b0 ~i0 n
     else begin
       let b = Inode.get_block inode i in
       if b < 0 then begin
-        flush (List.rev run);
-        chunks := (i, Bytes.make t.block_bytes '\000') :: !chunks;
-        go (i + 1) []
+        flush ~b0 ~i0 n;
+        f i None;
+        go (i + 1) ~b0 ~i0 0
       end
       else
         match Buffer_cache.find t.cache b with
-        | Some bytes ->
+        | Some view ->
           Trace.incr tr "ufs.cache_hits";
-          flush (List.rev run);
-          chunks := (i, bytes) :: !chunks;
-          go (i + 1) []
-        | None -> (
-          (* The accumulator is newest-first: continue the run only when
-             this block directly follows the previous one. *)
-          match run with
-          | (b_prev, _) :: _ when b <> b_prev + 1 ->
-            flush (List.rev run);
-            go (i + 1) [ (b, i) ]
-          | _ -> go (i + 1) ((b, i) :: run))
+          f i (Some view);
+          flush ~b0 ~i0 n;
+          go (i + 1) ~b0 ~i0 0
+        | None ->
+          (* Continue the run only when this block directly follows it. *)
+          if n > 0 && b = b0 + n then go (i + 1) ~b0 ~i0 (n + 1)
+          else begin
+            flush ~b0 ~i0 n;
+            go (i + 1) ~b0:b ~i0:i 1
+          end
     end
   in
-  go first [];
+  go first ~b0:0 ~i0:first 0;
   let total = !bd in
   Trace.exit tr ~bd:total sp;
-  (List.sort (fun (a, _) (b, _) -> compare a b) !chunks, total)
+  total
 
 let read_op t name ~off ~len =
   match lookup t name with
@@ -741,23 +743,26 @@ let read_op t name ~off ~len =
       else
         match inode.Inode.frag with
         | Some (block, slot, _) ->
-          let contents, cost = read_block t block in
+          let (buf, pos), cost = read_block t block in
           bd := Breakdown.add !bd cost;
-          Ok (Bytes.sub contents ((slot * t.frag_bytes) + off) len, !bd)
+          Ok (Bytes.sub buf (pos + (slot * t.frag_bytes) + off) len, !bd)
         | None ->
           let first = off / t.block_bytes and last = (off + len - 1) / t.block_bytes in
-          let chunks, cost =
-            read_file_blocks t inode ~first ~last ~insert_cache:true ~label:"ufs.rblocks"
+          (* Blocks and holes together cover [off, off + len), so every
+             byte of [out] is written exactly once. *)
+          let out = Bytes.create len in
+          let place i view =
+            let block_off = i * t.block_bytes in
+            let lo = max off block_off
+            and hi = min (off + len) (block_off + t.block_bytes) in
+            match view with
+            | Some (buf, pos) -> Bytes.blit buf (pos + lo - block_off) out (lo - off) (hi - lo)
+            | None -> Bytes.fill out (lo - off) (hi - lo) '\000'
+          in
+          let cost =
+            read_file_blocks t inode ~first ~last ~label:"ufs.rblocks" ~f:place
           in
           bd := Breakdown.add !bd cost;
-          let out = Bytes.make len '\000' in
-          List.iter
-            (fun (i, piece) ->
-              let block_off = i * t.block_bytes in
-              let lo = max off block_off
-              and hi = min (off + len) (block_off + t.block_bytes) in
-              if hi > lo then Bytes.blit piece (lo - block_off) out (lo - off) (hi - lo))
-            chunks;
           (* Sequential-read detection drives read-ahead. *)
           if off = file.seq_off then file.seq_hits <- file.seq_hits + 1
           else file.seq_hits <- 0;
@@ -777,9 +782,9 @@ let read_op t name ~off ~len =
                   (List.init (ra_last - ra_first + 1) (fun k -> ra_first + k))
               in
               if uncached then begin
-                let _, cost =
+                let cost =
                   read_file_blocks t inode ~first:ra_first ~last:ra_last
-                    ~insert_cache:true ~label:"ufs.readahead"
+                    ~label:"ufs.readahead" ~f:(fun _ _ -> ())
                 in
                 bd := Breakdown.add !bd cost
               end
@@ -902,7 +907,7 @@ let mount ~dev ~host ~clock cfg =
         inode_rover = 0;
         dir = [||];
         dir_entries_per_block = block_bytes / 32;
-        cache = Buffer_cache.create ~capacity:cfg.cache_blocks;
+        cache = Buffer_cache.create ~capacity:cfg.cache_blocks ~block_bytes;
         frag_slots = Hashtbl.create 64;
         frag_data = Hashtbl.create 64;
         last_frag_block = -1;

@@ -160,13 +160,14 @@ let decode_part_into t vn part buf =
 
 let make ~disk ~vlog ~host ~clock cfg =
   let n_phys = Vlog.Freemap.n_blocks (Vlog.Virtual_log.freemap vlog) in
+  let block_bytes = Vlog.Virtual_log.block_bytes vlog in
   {
     disk;
     vlog;
     host;
     clock;
     cfg;
-    block_bytes = Vlog.Virtual_log.block_bytes vlog;
+    block_bytes;
     spb = (Vlog.Virtual_log.config vlog).Vlog.Virtual_log.sectors_per_block;
     files = Hashtbl.create 256;
     by_inum = Hashtbl.create 256;
@@ -177,9 +178,9 @@ let make ~disk ~vlog ~host ~clock cfg =
     owner_fblock = Array.make n_phys (-1);
     pending = Hashtbl.create 256;
     dirty_parts = Hashtbl.create 64;
-    cache = Ufs.Buffer_cache.create ~capacity:cfg.cache_blocks;
+    cache = Ufs.Buffer_cache.create ~capacity:cfg.cache_blocks ~block_bytes;
     dir = [||];
-    dir_entries_per_block = Vlog.Virtual_log.block_bytes vlog / 32;
+    dir_entries_per_block = block_bytes / 32;
     prng = Prng.create ~seed:0x7F5FL;
     comp_stats = { tracks_emptied = 0; blocks_moved = 0 };
     comp_resume = None;
@@ -405,17 +406,19 @@ let create t name =
 
 let max_read_retries = 3
 
+(* Content of file block [fb] as [(buf, pos, cost)], the block at
+   [buf.(pos)].  The buffer is shared: callers copy before modifying. *)
 let read_data_block t vn fb =
   match Hashtbl.find_opt t.pending (vn.inum, fb) with
-  | Some bytes -> (bytes, Breakdown.zero)
+  | Some bytes -> (bytes, 0, Breakdown.zero)
   | None ->
     let pba = if fb < Array.length vn.blocks then vn.blocks.(fb) else -1 in
-    if pba < 0 then (Bytes.make t.block_bytes '\000', Breakdown.zero)
+    if pba < 0 then (Bytes.make t.block_bytes '\000', 0, Breakdown.zero)
     else begin
       match Ufs.Buffer_cache.find t.cache pba with
-      | Some bytes ->
+      | Some (bytes, pos) ->
         Trace.incr (sink t) "vlfs.cache_hits";
-        (bytes, Breakdown.zero)
+        (bytes, pos, Breakdown.zero)
       | None ->
         (* Defect-tolerant fetch: retry transient errors a bounded number
            of times; a permanent error or ECC failure aborts the file
@@ -437,7 +440,7 @@ let read_data_block t vn fb =
             ignore (Ufs.Buffer_cache.insert t.cache pba bytes ~dirty:false);
             if attempts > 0 then Trace.incr tr ~by:attempts "vlfs.read_retries";
             Trace.exit tr ~bd:!bd sp;
-            (bytes, !bd)
+            (bytes, 0, !bd)
           | Error e when e.Disk.Disk_sim.transient && attempts < max_read_retries ->
             go (attempts + 1)
           | Error e ->
@@ -478,11 +481,12 @@ let write_unchecked t name ~off data =
           let lo = max off block_off and hi = min (off + len) (block_off + t.block_bytes) in
           let full = lo = block_off && hi = block_off + t.block_bytes in
           let contents, read_bd =
-            if full then (Bytes.make t.block_bytes '\000', Breakdown.zero)
-            else read_data_block t vn fb
+            if full then (Bytes.create t.block_bytes, Breakdown.zero)
+            else
+              let c, pos, read_bd = read_data_block t vn fb in
+              (Bytes.sub c pos t.block_bytes, read_bd)
           in
           bd := Breakdown.add !bd read_bd;
-          let contents = Bytes.copy contents in
           Bytes.blit data (lo - off) contents (lo - block_off) (hi - lo);
           Hashtbl.replace t.pending (vn.inum, fb) contents;
           if fb >= Array.length vn.blocks then set_vnode_block vn fb (-1)
@@ -514,13 +518,15 @@ let read_unchecked t name ~off ~len =
       if len = 0 then Ok (Bytes.empty, !bd)
       else begin
         let first = off / t.block_bytes and last = (off + len - 1) / t.block_bytes in
-        let out = Bytes.make len '\000' in
+        (* Every block of [first..last] overlaps [off, off + len), so the
+           loop writes every byte of [out]. *)
+        let out = Bytes.create len in
         for fb = first to last do
-          let contents, cost = read_data_block t vn fb in
+          let contents, pos, cost = read_data_block t vn fb in
           bd := Breakdown.add !bd cost;
           let block_off = fb * t.block_bytes in
           let lo = max off block_off and hi = min (off + len) (block_off + t.block_bytes) in
-          if hi > lo then Bytes.blit contents (lo - block_off) out (lo - off) (hi - lo)
+          Bytes.blit contents (pos + lo - block_off) out (lo - off) (hi - lo)
         done;
         Ok (out, !bd)
       end

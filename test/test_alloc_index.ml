@@ -313,5 +313,5 @@ let suites =
         tc "HP97560 sweep 30%" `Quick
           (test_search_equivalence hp Eager.Sweep 0.3 0x58L);
       ] );
-    ("alloc-index:properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+    ("alloc-index:properties", List.map Qcheck_seed.to_alcotest qcheck_tests);
   ]

@@ -206,6 +206,83 @@ let test_utilization_reporting () =
   let u1 = dev.Device.utilization () in
   Alcotest.(check bool) "grew" true (u1 > u0 +. 0.2)
 
+(* Blocks [0, n) of [got] against a model of the last fill written to
+   each block, [None] for a block that must read as zeroes. *)
+let check_run dev got model =
+  let bb = dev.Device.block_bytes in
+  Array.iteri
+    (fun i m ->
+      let want = Bytes.make bb (Option.value m ~default:'\000') in
+      Alcotest.(check bytes) (Printf.sprintf "block %d" i) want (Bytes.sub got (i * bb) bb))
+    model
+
+(* A run over unmapped holes reads them as exact zeroes, even though
+   their old physical homes still hold data and the run buffer may
+   reuse memory a previous run filled. *)
+let test_vld_run_holes_after_churn () =
+  let _, dev, _ = make_vld ~logical_blocks:200 () in
+  let bb = dev.Device.block_bytes in
+  let n = 64 in
+  let model = Array.make n None in
+  let put b v =
+    ignore (Device.write dev b (Bytes.make bb v));
+    model.(b) <- Some v
+  in
+  let prng = Prng.create ~seed:5L in
+  for _ = 1 to 400 do
+    let b = Prng.int prng n in
+    if Prng.int prng 4 = 0 then begin
+      dev.Device.trim b;
+      model.(b) <- None
+    end
+    else put b (Char.chr (1 + Prng.int prng 255))
+  done;
+  for b = 0 to n - 1 do
+    if model.(b) = None then put b 'f'
+  done;
+  check_run dev (fst (Device.read_run dev 0 n)) model;
+  Gc.full_major ();
+  List.iter
+    (fun b ->
+      dev.Device.trim b;
+      model.(b) <- None)
+    [ 0; 3; 4; 17; 40; 63 ];
+  check_run dev (fst (Device.read_run dev 0 n)) model
+
+(* A remapped block, or a failed streaming attempt, sends a run to the
+   per-block fallback, which must fill the same buffer completely. *)
+let test_regular_run_fallback () =
+  let clock = Clock.create () in
+  let disk = Disk.Disk_sim.create ~profile ~clock () in
+  let rd = Regular_disk.create ~spare_blocks:8 ~disk () in
+  let dev = Regular_disk.device rd in
+  let bb = dev.Device.block_bytes in
+  let spb = bb / (Disk.Disk_sim.geometry disk).Disk.Geometry.sector_bytes in
+  let n = 16 in
+  let model = Array.init n (fun b -> Some (Char.chr (Char.code 'A' + b))) in
+  Array.iteri (fun b m -> ignore (Device.write dev b (Bytes.make bb (Option.get m)))) model;
+  let stream_fails = ref true in
+  Disk.Disk_sim.set_injector disk
+    (Some
+       {
+         Disk.Disk_sim.on_read =
+           (fun ~lba:_ ~sectors ->
+             if sectors > spb && !stream_fails then begin
+               stream_fails := false;
+               Some Disk.Disk_sim.Transient_read
+             end
+             else None);
+         on_write =
+           (fun ~lba ~sectors:_ ->
+             if lba = 6 * spb then Some (Disk.Disk_sim.Unwritable lba) else None);
+       });
+  check_run dev (fst (Device.read_run dev 0 n)) model;
+  Alcotest.(check bool) "streaming attempt failed" false !stream_fails;
+  ignore (Device.write dev 6 (Bytes.make bb 'z'));
+  model.(6) <- Some 'z';
+  Alcotest.(check int) "remapped" 1 (Regular_disk.remapped_blocks rd);
+  check_run dev (fst (Device.read_run dev 0 n)) model
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -326,6 +403,8 @@ let suites =
         Alcotest.test_case "utilization" `Quick test_utilization_reporting;
         Alcotest.test_case "queued drain commits after error" `Quick
           test_queued_drain_commits_after_error;
+        Alcotest.test_case "vld run holes after churn" `Quick test_vld_run_holes_after_churn;
+        Alcotest.test_case "regular run fallback" `Quick test_regular_run_fallback;
       ] );
-    ("blockdev:properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+    ("blockdev:properties", List.map Qcheck_seed.to_alcotest qcheck_tests);
   ]

@@ -282,9 +282,77 @@ let test_sim_bounds () =
       let total = Geometry.total_sectors (Disk_sim.geometry disk) in
       ignore (Disk_sim.write disk ~lba:(total - 1) (Bytes.make 1024 'x')))
 
+(* A store whose even tracks among the first twelve hold one random run
+   of written sectors and whose odd tracks were never touched, so a read
+   longer than one track crosses both kinds. *)
+let striped_store geom seed =
+  let s = Sector_store.create geom in
+  let prng = Prng.create ~seed:(Int64.of_int seed) in
+  let spt = geom.Geometry.sectors_per_track in
+  let sb = geom.Geometry.sector_bytes in
+  for track = 0 to 11 do
+    if track mod 2 = 0 then begin
+      let first = Prng.int prng spt in
+      let n = 1 + Prng.int prng (spt - first) in
+      Sector_store.write s ~lba:((track * spt) + first)
+        (Bytes.init (n * sb) (fun _ -> Char.chr (Prng.int prng 256)))
+    end
+  done;
+  s
+
+(* [dst] holds [want] at [pos] and the '\xAA' fill everywhere else. *)
+let landed dst ~pos want =
+  let len = Bytes.length want in
+  Bytes.equal (Bytes.sub dst pos len) want
+  && Bytes.for_all (( = ) '\xAA') (Bytes.sub dst 0 pos)
+  && Bytes.for_all (( = ) '\xAA') (Bytes.sub dst (pos + len) (Bytes.length dst - pos - len))
+
+let read_range_gen spt =
+  QCheck.(quad (int_range 0 1000) (int_range 0 ((10 * spt) - 1)) (int_range 1 (3 * spt))
+            (int_range 1 64))
+
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"store read_into equals read" ~count:200
+      (read_range_gen tiny_geom.Geometry.sectors_per_track)
+      (fun (seed, lba, sectors, pos) ->
+        let s = striped_store tiny_geom seed in
+        let want = Sector_store.read s ~lba ~sectors in
+        let dst = Bytes.make (pos + Bytes.length want + 7) '\xAA' in
+        Sector_store.read_into s ~lba ~sectors dst ~pos;
+        landed dst ~pos want);
+    (let profile = Profile.with_cylinders Profile.hp97560 4 in
+     let geom = profile.Profile.geometry in
+     Test.make ~name:"disk read_checked_into equals read_checked" ~count:100
+      (pair (read_range_gen geom.Geometry.sectors_per_track) bool)
+      (fun ((seed, lba, sectors, pos), rot) ->
+        let s = striped_store geom seed in
+        if rot then
+          Sector_store.rot s ~lba:(lba + (sectors / 2)) ~sectors:1
+            (Prng.create ~seed:(Int64.of_int seed));
+        (* Twin drives over equal platters: the same request must cost
+           the same and return the same bytes, twice in a row so the
+           second read can hit the track buffer. *)
+        let twin () =
+          let clock = Clock.create () in
+          ( Disk_sim.create ~buffer_policy:Track_buffer.Whole_track
+              ~store:(Sector_store.snapshot s) ~profile ~clock (),
+            clock )
+        in
+        let a, clock_a = twin () and b, clock_b = twin () in
+        let once () =
+          let r, bd = Disk_sim.read_checked a ~lba ~sectors in
+          let dst = Bytes.make (pos + (sectors * geom.Geometry.sector_bytes) + 7) '\xAA' in
+          let r', bd' = Disk_sim.read_checked_into b ~lba ~sectors dst ~pos in
+          bd = bd'
+          &&
+          match (r, r') with
+          | Ok want, Ok () -> landed dst ~pos want
+          | Error e, Error e' -> e = e' && Bytes.for_all (( = ) '\xAA') dst
+          | _ -> false
+        in
+        once () && once () && Clock.now clock_a = Clock.now clock_b));
     Test.make ~name:"geometry lba/addr roundtrip" ~count:500
       (int_range 0 (Geometry.total_sectors tiny_geom - 1))
       (fun lba -> Geometry.lba_of_addr tiny_geom (Geometry.addr_of_lba tiny_geom lba) = lba);
@@ -352,5 +420,5 @@ let suites =
         Alcotest.test_case "stats" `Quick test_sim_stats;
         Alcotest.test_case "bounds" `Quick test_sim_bounds;
       ] );
-    ("disk:properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+    ("disk:properties", List.map Qcheck_seed.to_alcotest qcheck_tests);
   ]

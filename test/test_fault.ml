@@ -340,6 +340,6 @@ let suites =
           (Test_cell.roundtrip Test_cell.fault);
       ] );
     ( "fault-spec-codec",
-      List.map QCheck_alcotest.to_alcotest
+      List.map Qcheck_seed.to_alcotest
         [ prop_kind_roundtrip; prop_leg_spec_roundtrip ] );
   ]

@@ -396,6 +396,16 @@ let live_counter_property =
           | Error _ -> false)
         model true)
 
+let test_scan_views_alias_safely () =
+  let fs, _ = make_fs ~on_vld:true () in
+  ignore (ok (Lfs.create fs "run"));
+  View_alias.scan_overwrite_rescan ~block_bytes:(Lfs.block_bytes fs)
+    ~write:(fun ~off data -> ignore (ok (Lfs.write fs "run" ~off data)))
+    ~read:(fun ~off ~len -> fst (ok (Lfs.read fs "run" ~off ~len)))
+    ~settle:(fun () ->
+      ignore (Lfs.sync fs);
+      Lfs.drop_caches fs)
+
 let suites =
   [
     ( "lfs:files",
@@ -407,6 +417,7 @@ let suites =
         Alcotest.test_case "not found" `Quick test_file_not_found;
         Alcotest.test_case "no space" `Quick test_no_space;
         Alcotest.test_case "runs on vld" `Quick test_runs_on_vld;
+        Alcotest.test_case "scan views alias safely" `Quick test_scan_views_alias_safely;
         Alcotest.test_case "many files" `Quick test_many_files_roundtrip;
         Alcotest.test_case "utilization" `Quick test_utilization_reflects_live_data;
       ] );
@@ -426,5 +437,5 @@ let suites =
         Alcotest.test_case "overwrites near full stay in segment" `Quick
           test_overwrites_near_full_stay_in_segment;
       ] );
-    ("lfs:properties", List.map QCheck_alcotest.to_alcotest (qcheck_tests @ [ live_counter_property ]));
+    ("lfs:properties", List.map Qcheck_seed.to_alcotest (qcheck_tests @ [ live_counter_property ]));
   ]

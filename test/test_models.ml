@@ -186,5 +186,5 @@ let suites =
         Alcotest.test_case "epsilon positive" `Quick test_compactor_epsilon_positive;
         Alcotest.test_case "bounds" `Quick test_compactor_bounds;
       ] );
-    ("models:properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+    ("models:properties", List.map Qcheck_seed.to_alcotest qcheck_tests);
   ]

@@ -476,5 +476,5 @@ let suites =
         Alcotest.test_case "satf beats fifo on average" `Quick
           test_satf_beats_fifo_on_average;
       ] );
-    ("queue:properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+    ("queue:properties", List.map Qcheck_seed.to_alcotest qcheck_tests);
   ]

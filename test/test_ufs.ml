@@ -250,36 +250,90 @@ let test_inode_decode_unused () =
   Alcotest.(check bool) "unused slot" true
     (Ufs.Inode.decode ~inum:0 (Bytes.make 128 '\000') = None)
 
+let test_scan_views_alias_safely sync_data () =
+  let fs, _ = make_fs ~sync_data ~on_vld:true () in
+  ignore (ok (Ufs.create fs "run"));
+  View_alias.scan_overwrite_rescan ~block_bytes:(Ufs.block_bytes fs)
+    ~write:(fun ~off data -> ignore (ok (Ufs.write fs "run" ~off data)))
+    ~read:(fun ~off ~len -> fst (ok (Ufs.read fs "run" ~off ~len)))
+    ~settle:(fun () ->
+      ignore (Ufs.sync fs);
+      Ufs.drop_caches fs)
+
+(* The read path copies each byte into the returned buffer once: a cold
+   1 MiB read allocates the device's run buffer and the result, and not
+   much else. *)
+let test_cold_read_allocation () =
+  let fs, _ = make_fs ~on_vld:true () in
+  let len = 1 lsl 20 in
+  ignore (ok (Ufs.create fs "big"));
+  ignore (ok (Ufs.write fs "big" ~off:0 (Bytes.make len 'b')));
+  Ufs.drop_caches fs;
+  (* Start from an empty minor heap, so no minor collection lands inside
+     the read and skews the counters. *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let got, _ = ok (Ufs.read fs "big" ~off:0 ~len) in
+  let ratio = (Gc.allocated_bytes () -. before) /. float_of_int len in
+  Alcotest.(check int) "whole file" len (Bytes.length got);
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.2f x len, budget 2.25" ratio)
+    true (ratio <= 2.25)
+
+(* The cache tests use one-byte blocks, so a run buffer of n bytes
+   holds n blocks and [(buf, pos)] views are easy to spell out. *)
+let view = Alcotest.(option (pair bytes int))
+
 let test_buffer_cache_lru () =
-  let c = Ufs.Buffer_cache.create ~capacity:2 in
-  ignore (Ufs.Buffer_cache.insert c 1 (Bytes.make 1 'a') ~dirty:false);
-  ignore (Ufs.Buffer_cache.insert c 2 (Bytes.make 1 'b') ~dirty:false);
+  let c = Ufs.Buffer_cache.create ~capacity:2 ~block_bytes:1 in
+  let run = Bytes.of_string "ab" in
+  ignore (Ufs.Buffer_cache.insert c 1 ~pos:0 run ~dirty:false);
+  ignore (Ufs.Buffer_cache.insert c 2 ~pos:1 run ~dirty:false);
+  Alcotest.check view "view of the run" (Some (run, 1)) (Ufs.Buffer_cache.find c 2);
   ignore (Ufs.Buffer_cache.find c 1);
   let evicted = Ufs.Buffer_cache.insert c 3 (Bytes.make 1 'c') ~dirty:false in
   Alcotest.(check int) "clean eviction silent" 0 (List.length evicted);
   Alcotest.(check bool) "2 evicted" true (Ufs.Buffer_cache.find c 2 = None);
-  Alcotest.(check bool) "1 kept" true (Ufs.Buffer_cache.find c 1 <> None)
+  Alcotest.(check bool) "1 kept" true (Ufs.Buffer_cache.find c 1 <> None);
+  Alcotest.check view "1 still a view" (Some (run, 0)) (Ufs.Buffer_cache.find c 1)
 
 let test_buffer_cache_dirty_eviction () =
-  let c = Ufs.Buffer_cache.create ~capacity:1 in
-  ignore (Ufs.Buffer_cache.insert c 1 (Bytes.make 1 'a') ~dirty:true);
+  let c = Ufs.Buffer_cache.create ~capacity:1 ~block_bytes:1 in
+  let run = Bytes.of_string "xay" in
+  ignore (Ufs.Buffer_cache.insert c 1 ~pos:1 run ~dirty:true);
   let evicted = Ufs.Buffer_cache.insert c 2 (Bytes.make 1 'b') ~dirty:false in
   Alcotest.(check int) "dirty returned" 1 (List.length evicted);
-  Alcotest.(check int) "which block" 1 (fst (List.hd evicted))
+  Alcotest.(check int) "which block" 1 (fst (List.hd evicted));
+  (* A victim held as a view comes back as its own one-block buffer. *)
+  Alcotest.(check bytes) "one-block copy" (Bytes.of_string "a") (snd (List.hd evicted));
+  Alcotest.(check bool) "not the run" false (snd (List.hd evicted) == run)
 
 let test_buffer_cache_dirty_sticky () =
-  let c = Ufs.Buffer_cache.create ~capacity:4 in
+  let c = Ufs.Buffer_cache.create ~capacity:4 ~block_bytes:1 in
   ignore (Ufs.Buffer_cache.insert c 1 (Bytes.make 1 'a') ~dirty:true);
-  ignore (Ufs.Buffer_cache.insert c 1 (Bytes.make 1 'b') ~dirty:false);
-  Alcotest.(check bool) "still dirty" true (Ufs.Buffer_cache.is_dirty c 1)
+  ignore (Ufs.Buffer_cache.insert c 1 ~pos:1 (Bytes.of_string "xb") ~dirty:false);
+  Alcotest.(check bool) "still dirty" true (Ufs.Buffer_cache.is_dirty c 1);
+  Alcotest.(check (list (pair int bytes)))
+    "flushes the new contents" [ (1, Bytes.of_string "b") ]
+    (Ufs.Buffer_cache.dirty_blocks c)
 
 let test_buffer_cache_dirty_order () =
-  let c = Ufs.Buffer_cache.create ~capacity:10 in
-  List.iter
-    (fun b -> ignore (Ufs.Buffer_cache.insert c b (Bytes.make 1 'x') ~dirty:true))
+  let c = Ufs.Buffer_cache.create ~capacity:10 ~block_bytes:1 in
+  let run = Bytes.of_string "wxyz" in
+  List.iteri
+    (fun k b -> ignore (Ufs.Buffer_cache.insert c b ~pos:k run ~dirty:true))
     [ 5; 1; 9; 3 ];
   let order = List.map fst (Ufs.Buffer_cache.dirty_blocks c) in
-  Alcotest.(check (list int)) "elevator order" [ 1; 3; 5; 9 ] order
+  Alcotest.(check (list int)) "elevator order" [ 1; 3; 5; 9 ] order;
+  Alcotest.(check (list string))
+    "one block each" [ "x"; "z"; "w"; "y" ]
+    (List.map (fun (_, b) -> Bytes.to_string b) (Ufs.Buffer_cache.dirty_blocks c))
+
+let test_buffer_cache_view_bounds () =
+  let c = Ufs.Buffer_cache.create ~capacity:4 ~block_bytes:2 in
+  Alcotest.check_raises "view past the end"
+    (Invalid_argument "Buffer_cache.insert: view out of bounds") (fun () ->
+      ignore (Ufs.Buffer_cache.insert c 1 ~pos:3 (Bytes.make 4 'a') ~dirty:false))
 
 let qcheck_tests =
   let open QCheck in
@@ -345,6 +399,11 @@ let suites =
         Alcotest.test_case "async deferred" `Quick test_async_writes_deferred;
         Alcotest.test_case "readahead" `Quick test_sequential_read_uses_readahead;
         Alcotest.test_case "runs on vld" `Quick test_runs_on_vld;
+        Alcotest.test_case "scan views alias safely (sync)" `Quick
+          (test_scan_views_alias_safely true);
+        Alcotest.test_case "scan views alias safely (async)" `Quick
+          (test_scan_views_alias_safely false);
+        Alcotest.test_case "cold read allocation" `Quick test_cold_read_allocation;
       ] );
     ( "ufs:inode",
       [
@@ -357,6 +416,7 @@ let suites =
         Alcotest.test_case "dirty eviction" `Quick test_buffer_cache_dirty_eviction;
         Alcotest.test_case "dirty sticky" `Quick test_buffer_cache_dirty_sticky;
         Alcotest.test_case "dirty order" `Quick test_buffer_cache_dirty_order;
+        Alcotest.test_case "view bounds" `Quick test_buffer_cache_view_bounds;
       ] );
-    ("ufs:properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+    ("ufs:properties", List.map Qcheck_seed.to_alcotest qcheck_tests);
   ]

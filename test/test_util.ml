@@ -373,5 +373,5 @@ let suites =
         Alcotest.test_case "string escapes" `Quick test_json_escapes;
         Alcotest.test_case "key order" `Quick test_json_key_order;
       ] );
-    ("util:properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+    ("util:properties", List.map Qcheck_seed.to_alcotest qcheck_tests);
   ]

@@ -299,5 +299,5 @@ let suites =
         Alcotest.test_case "compaction preserves" `Quick test_compaction_preserves_everything;
         Alcotest.test_case "compaction then recovery" `Quick test_compaction_then_recovery;
       ] );
-    ("vlfs:properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+    ("vlfs:properties", List.map Qcheck_seed.to_alcotest qcheck_tests);
   ]

@@ -684,5 +684,5 @@ let suites =
         Alcotest.test_case "respects deadline" `Quick test_compactor_respects_deadline;
         Alcotest.test_case "survives recovery" `Quick test_compactor_survives_recovery;
       ] );
-    ("vlog:properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+    ("vlog:properties", List.map Qcheck_seed.to_alcotest qcheck_tests);
   ]

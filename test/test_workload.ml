@@ -203,5 +203,5 @@ let suites =
         Alcotest.test_case "burst idle excluded" `Quick test_burst_idle_not_counted;
       ] );
     ( "workload:open-loop",
-      List.map QCheck_alcotest.to_alcotest open_loop_qcheck );
+      List.map Qcheck_seed.to_alcotest open_loop_qcheck );
   ]
