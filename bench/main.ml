@@ -58,19 +58,14 @@ let write_json path ~scale ~jobs (timings : Suite.timing list) =
 let micro () =
   let open Bechamel in
   let open Toolkit in
-  let make_vld_rig () =
-    Rigs.rig ~fs:(Workload.Setup.UFS { sync_data = true }) ~dev:Workload.Setup.VLD ()
-  in
-  let vld_rig = make_vld_rig () in
-  let reg_rig =
-    Rigs.rig ~fs:(Workload.Setup.UFS { sync_data = true }) ~dev:Workload.Setup.Regular ()
-  in
+  let vld_rig = Rigs.rig "ufs/vld" in
+  let reg_rig = Rigs.rig "ufs/regular" in
   let payload = Bytes.make 4096 'b' in
   let counter = ref 0 in
-  let n_blocks rig = rig.Workload.Setup.dev.Blockdev.Device.n_blocks in
-  let write_block rig () =
+  let write_block (rig : Rig.stack) () =
+    let dev = rig.device.dev in
     incr counter;
-    ignore (rig.Workload.Setup.dev.Blockdev.Device.write (!counter * 37 mod n_blocks rig) payload)
+    ignore (dev.Blockdev.Device.write (!counter * 37 mod dev.Blockdev.Device.n_blocks) payload)
   in
   let node =
     {

@@ -5,11 +5,11 @@
    vlsim model track --disk st --free 20
    vlsim model cylinder --disk hp --free 20
    vlsim model compactor --disk st --threshold 25
-   vlsim latency --disk st --util 80 [--host sparc|ultra]
+   vlsim latency --disk st --util 80 [--host sparc|ultra] [--rig ufs/vld]
                                 — one-off random-update measurement
    vlsim faults [--fault-plan torn,rot] [--fault-seed 7101]
                                 — crash/fault injection sweep
-   vlsim trace small-file --fs ufs --dev vld --out trace.jsonl --metrics
+   vlsim trace small-file --rig ufs/vld --out trace.jsonl --metrics
                                 — run a workload with tracing on *)
 
 open Cmdliner
@@ -38,6 +38,35 @@ let host_arg =
   Arg.(value & opt host_conv Host.sparc10 & info [ "host" ] ~doc:"sparc, ultra or free")
 
 let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"smoke-test sizes")
+
+(* [--rig] is a {!Rig} string; a rig the codec refuses is a usage error
+   (exit 2), like a malformed [--repro] spec. *)
+let rig_arg default =
+  Arg.(
+    value
+    & opt string default
+    & info [ "rig" ] ~docv:"RIG"
+        ~doc:
+          "file system and device, as fs/dev: ufs or lfs on vld, regular, \
+           stripe-vld, mirror-regular, nvm-vld, ..., or vlfs/direct")
+
+let rig_of_arg name =
+  match Rig.rig_of_string name with
+  | Ok r -> r
+  | Error e ->
+    Printf.eprintf "vlsim: %s\n" e;
+    exit 2
+
+(* A fresh rig for the one-off commands, seeded as they always were. *)
+let build_rig ?trace ~profile ~host rig =
+  match
+    Rig.build ?trace ~profile ~host ~prng:(Vlog_util.Prng.create ~seed:0xC0FFEEL) rig
+      Rig.Fresh
+  with
+  | Ok st -> st
+  | Error e ->
+    Printf.eprintf "vlsim: %s: %s\n" (Rig.rig_name rig) e;
+    exit 1
 
 (* The cross-cutting flags ([--jobs]/[-j], [--seed], [--json]) share one
    vocabulary with bench/main.exe: the names and docv come from
@@ -151,20 +180,14 @@ let model_cmd =
 let latency_cmd =
   let doc = "measure random synchronous 4 KB update latency on one rig" in
   let util_arg = Arg.(value & opt float 80. & info [ "util" ] ~doc:"target utilization %") in
-  let vld_arg = Arg.(value & flag & info [ "vld" ] ~doc:"use the virtual log disk") in
-  let run profile host util_pct vld quick =
-    let dev = if vld then Workload.Setup.VLD else Workload.Setup.Regular in
-    let rig =
-      Workload.Setup.make ~profile ~host ~fs:(Workload.Setup.UFS { sync_data = true })
-        ~dev ()
-    in
-    let file_mb = Experiments.Rigs.file_mb_for_utilization rig (util_pct /. 100.) in
+  let run profile host util_pct rig quick =
+    let st = build_rig ~profile ~host (rig_of_arg rig) in
+    let file_mb = Experiments.Rigs.file_mb_for_utilization st (util_pct /. 100.) in
     let updates = if quick then 100 else 600 in
-    let r =
-      Workload.Random_update.run ~updates ~compact_first:vld ~file_mb rig
-    in
-    Format.printf "%s on %s, %s host, %.0f%% utilization:@."
-      (if vld then "UFS/VLD" else "UFS/regular")
+    (* Let a virtual log compact before measuring, as the paper does. *)
+    let compact_first = Option.is_some st.device.vld || st.rig.fs = Rig.F_vlfs in
+    let r = Workload.Random_update.run ~updates ~compact_first ~file_mb st in
+    Format.printf "%s on %s, %s host, %.0f%% utilization:@." (Rig.label st.rig)
       profile.Disk.Profile.name host.Host.name
       (100. *. r.Workload.Random_update.utilization);
     Format.printf "  %.3f ms per 4 KB synchronous update (%a)@."
@@ -172,7 +195,10 @@ let latency_cmd =
       r.Workload.Random_update.breakdown
   in
   Cmd.v (Cmd.info "latency" ~doc)
-    Term.(const run $ disk_arg $ host_arg $ util_arg $ vld_arg $ quick_arg)
+    Term.(
+      const run $ disk_arg $ host_arg $ util_arg
+      $ rig_arg "ufs/regular"
+      $ quick_arg)
 
 (* --- the crash/fault sweeps --- *)
 
@@ -352,28 +378,6 @@ let arraysweep_cmd =
 
 (* --- volume --- *)
 
-let volume_layout_of_string s =
-  let int n = try Some (int_of_string n) with _ -> None in
-  match String.split_on_char ':' s with
-  | [ "stripe"; k ] -> (
-    match int k with
-    | Some k when k >= 1 -> Ok (Volume.Stripe k)
-    | _ -> Error (Printf.sprintf "bad stripe width %S" k))
-  | [ "mirror"; m ] -> (
-    match int m with
-    | Some m when m >= 2 -> Ok (Volume.Mirror m)
-    | _ -> Error (Printf.sprintf "bad mirror width %S (need >= 2)" m))
-  | [ "raid10"; km ] -> (
-    match String.split_on_char 'x' km with
-    | [ k; m ] -> (
-      match (int k, int m) with
-      | Some k, Some m when k >= 1 && m >= 2 -> Ok (Volume.Stripe_of_mirrors (k, m))
-      | _ -> Error (Printf.sprintf "bad raid10 shape %S (KxM, M >= 2)" km))
-    | _ -> Error (Printf.sprintf "bad raid10 shape %S (want KxM)" km))
-  | _ ->
-    Error
-      (Printf.sprintf "unknown layout %S (use stripe:K, mirror:M or raid10:KxM)" s)
-
 let volume_cmd =
   let doc =
     "build a multi-disk volume in the simulator and walk it through a failure \
@@ -426,7 +430,7 @@ let volume_cmd =
              (default leg 0)")
   in
   let run actions layout_s leg_kind blocks kills fault_specs profile =
-    match volume_layout_of_string layout_s with
+    match Volume.layout_of_string layout_s with
     | Error e ->
       Printf.eprintf "vlsim: %s\n" e;
       exit 2
@@ -558,7 +562,7 @@ let nvm_cmd =
   let backing_arg =
     Arg.(
       value
-      & opt (enum [ ("vld", `Vld); ("regular", `Regular) ]) `Vld
+      & opt (enum [ ("vld", Rig.W_vld); ("regular", Rig.W_regular) ]) Rig.W_vld
       & info [ "backing" ] ~doc:"device behind the staging tier: vld or regular")
   in
   let blocks_arg =
@@ -576,25 +580,19 @@ let nvm_cmd =
              MiB region); tiny caps show the backpressure path")
   in
   let run actions backing blocks log_bytes profile =
-    let clock = Vlog_util.Clock.create () in
-    let disk =
-      Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track ~profile
-        ~clock ()
+    let wal =
+      match
+        Rig.build_device ~profile ~logical_blocks:(max 64 (blocks * 2)) ~spare_blocks:8
+          ~wal:{ Nvm.Nvm_wal.default_config with Nvm.Nvm_wal.log_bytes }
+          ~prng:(lazy (Vlog_util.Prng.create ~seed:4242L))
+          (Rig.D_nvm backing) Rig.Fresh
+      with
+      | Ok d -> Option.get d.wal
+      | Error e ->
+        Printf.eprintf "vlsim: nvm: %s\n" e;
+        exit 1
     in
-    let prng = Vlog_util.Prng.create ~seed:4242L in
-    let inner =
-      match backing with
-      | `Vld ->
-        Blockdev.Vld.device
-          (Blockdev.Vld.create ~disk ~logical_blocks:(max 64 (blocks * 2)) ~prng
-             ())
-      | `Regular ->
-        Blockdev.Regular_disk.device
-          (Blockdev.Regular_disk.create ~disk ~spare_blocks:8 ())
-    in
-    let nvm = Nvm.Nvm_sim.create ~clock () in
-    let config = { Nvm.Nvm_wal.default_config with Nvm.Nvm_wal.log_bytes } in
-    let wal = Nvm.Nvm_wal.create ~config ~nvm ~inner () in
+    let nvm = Nvm.Nvm_wal.nvm wal and inner = Nvm.Nvm_wal.inner wal in
     let dev = Nvm.Nvm_wal.device wal in
     let bb = dev.Blockdev.Device.block_bytes in
     let tag b = Char.chr (33 + (b mod 90)) in
@@ -611,7 +609,7 @@ let nvm_cmd =
         done;
         Printf.printf "staged %d synchronous writes over %s backing (%s)\n"
           !staged
-          (match backing with `Vld -> "vld" | `Regular -> "regular")
+          (match backing with Rig.W_vld -> "vld" | Rig.W_regular -> "regular")
           dev.Blockdev.Device.name
       | `Status ->
         let s = Nvm.Nvm_wal.status wal in
@@ -665,13 +663,7 @@ let fs_kind_arg =
   Arg.(
     required
     & opt
-        (some
-           (enum
-              [
-                ("ufs", Check.Fs_sweep.F_ufs);
-                ("lfs", Check.Fs_sweep.F_lfs);
-                ("vlfs", Check.Fs_sweep.F_vlfs);
-              ]))
+        (some (enum (List.map (fun k -> (Rig.fs_name k, k)) Rig.fs_kinds)))
         None
     & info [ "fs" ] ~docv:"FS" ~doc:"file system: ufs, lfs, or vlfs")
 
@@ -777,19 +769,6 @@ let trace_cmd =
              multi-tenant write mix on a mirrored volume; the metrics summary \
              then includes the per-tenant fairness table)")
   in
-  let fs_arg =
-    Arg.(
-      value
-      & opt (enum [ ("ufs", `Ufs); ("lfs", `Lfs); ("vlfs", `Vlfs) ]) `Ufs
-      & info [ "fs" ] ~doc:"ufs, lfs or vlfs")
-  in
-  let dev_arg =
-    Arg.(
-      value
-      & opt (enum [ ("regular", Workload.Setup.Regular); ("vld", Workload.Setup.VLD) ])
-          Workload.Setup.VLD
-      & info [ "dev" ] ~doc:"regular or vld (ignored for vlfs)")
-  in
   let out_arg =
     Arg.(
       value
@@ -807,13 +786,8 @@ let trace_cmd =
       value & opt int 40
       & info [ "ops" ] ~doc:"workload size (files to create / updates to apply)")
   in
-  let run workload fs dev profile host out metrics flame ops =
-    let fs_choice =
-      match fs with
-      | `Ufs -> Workload.Setup.UFS { sync_data = true }
-      | `Lfs -> Workload.Setup.LFS { buffer_blocks = 1561 }
-      | `Vlfs -> Workload.Setup.VLFS { sync_writes = true }
-    in
+  let run workload rig profile host out metrics flame ops =
+    let rig = rig_of_arg rig in
     let sink =
       match workload with
       | `Tenants ->
@@ -824,24 +798,22 @@ let trace_cmd =
         let _, sink = Tenant.run_shard ~trace:true cfg ~shard:0 schedule.(0) in
         sink
       | (`Small | `Random | `Seq) as w ->
-        let rig =
-          Workload.Setup.make ~trace:true ~profile ~host ~fs:fs_choice ~dev ()
-        in
+        let st = build_rig ~trace:true ~profile ~host rig in
         (match w with
-        | `Small -> ignore (Workload.Small_file.run ~files:ops rig)
+        | `Small -> ignore (Workload.Small_file.run ~files:ops st)
         | `Random ->
-          ignore (Workload.Random_update.run ~updates:ops ~warmup:0 ~file_mb:2. rig)
+          ignore (Workload.Random_update.run ~updates:ops ~warmup:0 ~file_mb:2. st)
         | `Seq ->
           (* Write one [ops]-block file through the buffer, sync it out, drop
              caches, and stream it back: a read-path trace with a cold cache. *)
-          let o = rig.Workload.Setup.ops in
-          let bs = rig.Workload.Setup.dev.Blockdev.Device.block_bytes in
-          ignore (o.Workload.Setup.create "seq");
-          ignore (o.Workload.Setup.write "seq" ~off:0 (Bytes.make (ops * bs) 's'));
-          ignore (o.Workload.Setup.sync ());
-          o.Workload.Setup.drop_caches ();
-          ignore (o.Workload.Setup.read "seq" ~off:0 ~len:(ops * bs)));
-        Workload.Setup.trace rig
+          let o = st.ops in
+          let bs = o.block_bytes in
+          ignore (Rig.ok_exn (o.create "seq"));
+          ignore (Rig.ok_exn (o.write "seq" ~off:0 (Bytes.make (ops * bs) 's')));
+          ignore (o.sync ());
+          o.drop_caches ();
+          ignore (Rig.ok_exn (o.read "seq" ~off:0 ~len:(ops * bs))));
+        st.device.trace
     in
     (match out with
     | Some file ->
@@ -858,7 +830,9 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run $ workload_arg $ fs_arg $ dev_arg $ disk_arg $ host_arg $ out_arg
+      const run $ workload_arg
+      $ rig_arg "ufs/vld"
+      $ disk_arg $ host_arg $ out_arg
       $ metrics_arg $ flame_arg $ ops_arg)
 
 let () =

@@ -15,45 +15,40 @@ let table_mb = 12.
 let transactions = 200
 let pages_per_txn = 3
 
-let run_on dev_kind =
-  let rig =
-    Workload.Setup.make ~seed:7L ~profile:Disk.Profile.st19101 ~host:Host.sparc10
-      ~fs:(Workload.Setup.UFS { sync_data = true })
-      ~dev:dev_kind ()
-  in
-  let ops = rig.Workload.Setup.ops in
-  let prng = Prng.split rig.Workload.Setup.prng in
+let run_on name =
+  let rig = Experiments.Rigs.rig ~seed:7L name in
+  let ops = rig.Rig.ops in
+  let prng = Prng.split rig.Rig.prng in
   let pages = int_of_float (table_mb *. 1048576.) / 4096 in
   (* Load the table. *)
-  ignore (ops.Workload.Setup.create table_file);
+  ignore (Rig.ok_exn (ops.create table_file));
   let chunk = Bytes.make (64 * 4096) '0' in
   for c = 0 to (pages / 64) - 1 do
-    ignore (ops.Workload.Setup.write table_file ~off:(c * 64 * 4096) chunk)
+    ignore (Rig.ok_exn (ops.write table_file ~off:(c * 64 * 4096) chunk))
   done;
-  ignore (ops.Workload.Setup.sync ());
+  ignore (ops.sync ());
   (* Commit transactions. *)
   let latencies = ref [] in
   let page_buf = Bytes.make 4096 'x' in
   for _ = 1 to transactions do
     let (), ms =
-      Workload.Setup.elapsed rig (fun () ->
+      Rig.elapsed rig (fun () ->
           for _ = 1 to pages_per_txn do
             ignore
-              (ops.Workload.Setup.write table_file
-                 ~off:(Prng.int prng pages * 4096)
-                 page_buf)
+              (Rig.ok_exn
+                 (ops.write table_file ~off:(Prng.int prng pages * 4096) page_buf))
           done)
     in
     latencies := ms :: !latencies
   done;
-  (ops.Workload.Setup.label, Stats.summarize !latencies)
+  Stats.summarize !latencies
 
 let () =
-  let name_reg, reg = run_on Workload.Setup.Regular in
-  let name_vld, vld = run_on Workload.Setup.VLD in
+  let reg = run_on "ufs/regular" in
+  let vld = run_on "ufs/vld" in
   Format.printf "%d transactions of %d synchronous 4 KB page updates each@.@."
     transactions pages_per_txn;
-  Format.printf "%-12s %a@." name_reg Stats.pp_summary reg;
-  Format.printf "%-12s %a@.@." name_vld Stats.pp_summary vld;
+  Format.printf "%-12s %a@." "UFS/regular" Stats.pp_summary reg;
+  Format.printf "%-12s %a@.@." "UFS/vld" Stats.pp_summary vld;
   Format.printf "mean commit speedup on the virtual log disk: %.1fx@."
     (reg.Stats.mean /. vld.Stats.mean)

@@ -11,12 +11,9 @@
 open Vlog_util
 
 let () =
-  let clock = Clock.create () in
-  let disk =
-    Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track
-      ~profile:Disk.Profile.st19101 ~clock ()
-  in
-  let fs = Vlfs.format ~disk ~host:Host.sparc10 ~clock Vlfs.default_config in
+  let st = Experiments.Rigs.rig "vlfs/direct" in
+  let fs = match st.Rig.typed with Rig.T_vlfs fs -> fs | _ -> assert false in
+  let clock = st.device.clock and disk = (st.device.drives ()).(0) in
   let ok = function
     | Ok v -> v
     | Error e -> failwith (Format.asprintf "%a" Vlfs.pp_error e)
@@ -47,7 +44,7 @@ let () =
   Format.printf "idle compaction: %d tracks emptied, %d blocks hole-plugged@."
     cs.Vlfs.tracks_emptied cs.Vlfs.blocks_moved;
 
-  (* Power down, recover, verify. *)
+  (* Power down, recover on the same drive, verify. *)
   ignore (Vlfs.power_down fs);
   match Vlfs.recover ~disk ~host:Host.sparc10 () with
   | Error e -> Format.printf "recovery failed: %s@." e

@@ -20,8 +20,8 @@
         again must produce the same namespace, sizes, and degradation;
    6. return the judgement.
 
-   One stack builder covers all five device kinds and carries what
-   differs between the three families:
+   [Rig.build] builds and remounts all five device kinds; what differs
+   between the three families is chosen here, per rig:
 
    - plain (vld, regular, direct): the plan lands on the drive, or on
      the remount drive for kinds that strike recovery; no shutdown step;
@@ -40,104 +40,7 @@
    gone after remount — there is nothing to assert except loss. *)
 
 open Vlog_util
-
-type fs_kind = F_ufs | F_lfs | F_vlfs
-
-(* Volume rigs put the file system on a [Volume] built over several
-   drives; the layout names fix small canonical shapes (mirror = 2-way,
-   stripe = 2 groups, raid10 = 2 x 2) so a rig string like
-   "ufs/mirror-vld" pins the whole topology. *)
-type vol_layout = V_stripe | V_mirror | V_raid10
-type vol_leg = VL_regular | VL_vld
-
-(* NVM-WAL rigs put an [Nvm_wal] staging tier in front of the logical
-   disk; the backing name says what the destager drains into. *)
-type wal_backing = W_regular | W_vld
-
-type dev_kind =
-  | D_vld
-  | D_regular
-  | D_direct
-  | D_volume of vol_layout * vol_leg
-  | D_nvm of wal_backing
-
-type rig = { fs : fs_kind; on : dev_kind }
-
-let fs_name = function F_ufs -> "ufs" | F_lfs -> "lfs" | F_vlfs -> "vlfs"
-
-let vol_layout_name = function
-  | V_stripe -> "stripe"
-  | V_mirror -> "mirror"
-  | V_raid10 -> "raid10"
-
-let vol_leg_name = function VL_regular -> "regular" | VL_vld -> "vld"
-
-let wal_backing_name = function W_regular -> "regular" | W_vld -> "vld"
-
-let dev_name = function
-  | D_vld -> "vld"
-  | D_regular -> "regular"
-  | D_direct -> "direct"
-  | D_volume (l, k) -> vol_layout_name l ^ "-" ^ vol_leg_name k
-  | D_nvm b -> "nvm-" ^ wal_backing_name b
-
-let rig_name r = fs_name r.fs ^ "/" ^ dev_name r.on
-
-let rig_of_string s =
-  match String.split_on_char '/' s with
-  | [ fs; on ] -> (
-    let fsk =
-      match fs with
-      | "ufs" -> Some F_ufs
-      | "lfs" -> Some F_lfs
-      | "vlfs" -> Some F_vlfs
-      | _ -> None
-    in
-    let onk =
-      match on with
-      | "vld" -> Some D_vld
-      | "regular" -> Some D_regular
-      | "direct" -> Some D_direct
-      | "nvm-regular" -> Some (D_nvm W_regular)
-      | "nvm-vld" -> Some (D_nvm W_vld)
-      | _ -> (
-        match String.split_on_char '-' on with
-        | [ l; k ] -> (
-          let lay =
-            match l with
-            | "stripe" -> Some V_stripe
-            | "mirror" -> Some V_mirror
-            | "raid10" -> Some V_raid10
-            | _ -> None
-          in
-          let leg =
-            match k with
-            | "regular" -> Some VL_regular
-            | "vld" -> Some VL_vld
-            | _ -> None
-          in
-          match (lay, leg) with
-          | Some l, Some k -> Some (D_volume (l, k))
-          | _ -> None)
-        | _ -> None)
-    in
-    match (fsk, onk) with
-    | Some F_vlfs, Some (D_volume _) ->
-      Error "vlfs runs directly on the platters; it has no volume rig"
-    | Some F_vlfs, Some (D_nvm _) ->
-      Error "vlfs runs directly on the platters; it has no nvm rig"
-    | Some fs, Some on -> Ok { fs; on }
-    | _ -> Error (Printf.sprintf "unknown rig %S" s))
-  | _ -> Error (Printf.sprintf "unknown rig %S (want fs/dev)" s)
-
-let all_rigs =
-  [
-    { fs = F_ufs; on = D_vld };
-    { fs = F_ufs; on = D_regular };
-    { fs = F_lfs; on = D_vld };
-    { fs = F_lfs; on = D_regular };
-    { fs = F_vlfs; on = D_direct };
-  ]
+open Rig
 
 type config = {
   seed : int64;
@@ -239,16 +142,6 @@ let profile_of c = Disk.Profile.with_cylinders Disk.Profile.st19101 c.cylinders
 let sector_bytes c =
   (profile_of c).Disk.Profile.geometry.Disk.Geometry.sector_bytes
 
-let make_disk ?store ~profile rig clock =
-  let buffer_policy =
-    match rig.on with
-    | D_regular | D_volume (_, VL_regular) | D_nvm W_regular ->
-      Disk.Track_buffer.Forward_discard
-    | D_vld | D_direct | D_volume (_, VL_vld) | D_nvm W_vld ->
-      Disk.Track_buffer.Whole_track
-  in
-  Disk.Disk_sim.create ~buffer_policy ?store ~profile ~clock ()
-
 let spare_blocks = 8
 
 let ufs_cfg =
@@ -274,104 +167,17 @@ let vlfs_cfg =
     cache_blocks = 32;
   }
 
-(* A mounted file system behind one face, so the workload, the oracle
-   view, and the fsck step are written once for all three. *)
-type ops = {
-  o_create : string -> (unit, Blockdev.Fs_error.t) result;
-  o_write : string -> off:int -> Bytes.t -> (unit, Blockdev.Fs_error.t) result;
-  o_read : string -> off:int -> len:int -> (Bytes.t, Blockdev.Fs_error.t) result;
-  o_delete : string -> (unit, Blockdev.Fs_error.t) result;
-  o_sync : unit -> unit;
-  o_shutdown : unit -> unit;
-  o_files : unit -> string list;
-  o_size : string -> (int, Blockdev.Fs_error.t) result;
-  o_mode : unit -> [ `Rw | `Degraded of string ];
-  o_check : unit -> Report.t;
-  o_block_bytes : int;
-  o_sync_each : bool; (* every committed operation is a durability point *)
-}
+(* The per-FS invariant checker, chosen by the mounted file system. *)
+let fsck = function
+  | T_ufs t -> Ufs_check.check t
+  | T_lfs t -> Lfs_check.check t
+  | T_vlfs t -> Vlfs_check.check t
 
-let wrap_ufs t =
-  {
-    o_create = (fun n -> Result.map ignore (Ufs.create t n));
-    o_write = (fun n ~off b -> Result.map ignore (Ufs.write t n ~off b));
-    o_read = (fun n ~off ~len -> Result.map fst (Ufs.read t n ~off ~len));
-    o_delete = (fun n -> Result.map ignore (Ufs.delete t n));
-    o_sync = (fun () -> ignore (Ufs.sync t));
-    o_shutdown = (fun () -> ignore (Ufs.sync t));
-    o_files = (fun () -> Ufs.files t);
-    o_size = (fun n -> Ufs.file_size t n);
-    o_mode = (fun () -> Ufs.mode t);
-    o_check = (fun () -> Ufs_check.check t);
-    o_block_bytes = Ufs.block_bytes t;
-    o_sync_each = ufs_cfg.Ufs.sync_data;
-  }
-
-let wrap_lfs t =
-  {
-    o_create = (fun n -> Result.map ignore (Lfs.create t n));
-    o_write = (fun n ~off b -> Result.map ignore (Lfs.write t n ~off b));
-    o_read = (fun n ~off ~len -> Result.map fst (Lfs.read t n ~off ~len));
-    o_delete = (fun n -> Result.map ignore (Lfs.delete t n));
-    o_sync = (fun () -> ignore (Lfs.sync t));
-    o_shutdown = (fun () -> ignore (Lfs.power_down t));
-    o_files = (fun () -> Lfs.files t);
-    o_size = (fun n -> Lfs.file_size t n);
-    o_mode = (fun () -> Lfs.mode t);
-    o_check = (fun () -> Lfs_check.check t);
-    o_block_bytes = Lfs.block_bytes t;
-    o_sync_each = false;
-  }
-
-let wrap_vlfs t =
-  {
-    o_create = (fun n -> Result.map ignore (Vlfs.create t n));
-    o_write = (fun n ~off b -> Result.map ignore (Vlfs.write t n ~off b));
-    o_read = (fun n ~off ~len -> Result.map fst (Vlfs.read t n ~off ~len));
-    o_delete = (fun n -> Result.map ignore (Vlfs.delete t n));
-    o_sync = (fun () -> ignore (Vlfs.sync t));
-    o_shutdown = (fun () -> ignore (Vlfs.power_down t));
-    o_files = (fun () -> Vlfs.files t);
-    o_size = (fun n -> Vlfs.file_size t n);
-    o_mode = (fun () -> Vlfs.mode t);
-    o_check = (fun () -> Vlfs_check.check t);
-    o_block_bytes = Vlog.Virtual_log.block_bytes (Vlfs.vlog t);
-    o_sync_each = vlfs_cfg.Vlfs.sync_writes;
-  }
-
-(* ---- One stack builder for every device family ---- *)
-
-type typed = T_ufs of Ufs.t | T_lfs of Lfs.t | T_vlfs of Vlfs.t
-
-(* A stack's frozen media: every drive's platters in leg order, plus the
-   NVM's persisted image on a staged rig. *)
-type frozen = { drives : Disk.Sector_store.t array; nvm : Bytes.t option }
-
-type source =
-  | Fresh of Prng.t
-      (** format, splitting the scenario PRNG once for the stack on
-          plain and volume rigs (even where the stack ignores it) *)
-  | Frozen of frozen  (** remount; every remount reseeds its PRNG *)
-
-type stack = {
-  typed : typed;
-  ops : ops;
-  notes : (string * int) list;
-      (* the mount's recovery counters (orphans cleared, dangling entries
-         dropped, inodes skipped), for fsck presentation; [] when fresh *)
-  settle : unit -> (unit, string) result;  (* the clean-shutdown step *)
-  freeze : unit -> frozen;
-  extra_checks : unit -> (string * Report.t) list;
-}
-
-let vol_shape = function
-  | V_stripe -> Volume.Stripe 2
-  | V_mirror -> Volume.Mirror 2
-  | V_raid10 -> Volume.Stripe_of_mirrors (2, 2)
-
-let vol_leg_kind = function
-  | VL_vld -> Volume.Vld_leg
-  | VL_regular -> Volume.Regular_leg
+(* The rig's own checkers, run next to fsck. *)
+let extra_checks st =
+  match st.device.volume with
+  | Some vol -> [ ("volume", Volume_check.check vol) ]
+  | None -> []
 
 (* NVM-WAL rig parameters.  The log is deliberately small so destaging
    happens inline (backpressure) during the short sweep workload —
@@ -381,187 +187,25 @@ let vol_leg_kind = function
 let wal_log_bytes = 64 * 1024
 let wal_tiny_log_bytes = 20 * 1024
 
-(* Build [rig] fresh or remount it from a frozen image, on a fresh clock.
-   [plan], when given, lands where the family puts it: after the format
-   on a fresh stack, before recovery on a remount (so it strikes the
-   recovery itself).  [case] picks a volume's victim leg. *)
-let build ?profile ?(case = 0) ?(nvm_log_bytes = wal_log_bytes) (c : config)
-    rig ~seed ?plan source : (stack, string) result =
-  let ( let* ) = Result.bind in
-  let profile = Option.value profile ~default:(profile_of c) in
-  let clock = Clock.create () in
-  let drive ?store () = make_disk ?store ~profile rig clock in
-  let n_drives =
-    match rig.on with
-    | D_volume (l, _) -> Volume.n_legs (vol_shape l)
-    | D_vld | D_regular | D_direct | D_nvm _ -> 1
-  in
-  let* disks =
-    match source with
-    | Fresh _ -> Ok (Array.init n_drives (fun _ -> drive ()))
-    | Frozen f when Array.length f.drives = n_drives ->
-      Ok (Array.map (fun store -> drive ~store ()) f.drives)
-    | Frozen f ->
-      Error
-        (Printf.sprintf "%s needs %d drive(s), the image holds %d"
-           (rig_name rig) n_drives (Array.length f.drives))
-  in
-  let* nvm =
-    match (rig.on, source) with
-    | D_nvm _, Fresh _ -> Ok (Some (Nvm.Nvm_sim.create ~clock ()))
-    | D_nvm _, Frozen { nvm = Some image; _ } ->
-      Ok (Some (Nvm.Nvm_sim.create ~image ~clock ()))
-    | D_nvm _, Frozen { nvm = None; _ } ->
-      Error (rig_name rig ^ " needs an NVM image, the image holds none")
-    | (D_vld | D_regular | D_direct | D_volume _), _ -> Ok None
-  in
-  let place p =
-    Fault.Plan.install p disks.(case mod n_drives);
-    Option.iter (Fault.Plan.install_nvm p) nvm
-  in
-  let fresh = match source with Fresh _ -> true | Frozen _ -> false in
-  if not fresh then Option.iter place plan;
-  let prng =
+(* Build [rig] fresh or remount it from a frozen image.  [plan], when
+   given, lands where the family puts it: after the format on a fresh
+   stack, before recovery on a remount (so it strikes the recovery
+   itself).  [case] picks a volume's victim leg.  A fresh plain or volume
+   stack splits the scenario [prng] once for its device, even where the
+   device ignores it; a staged rig and every remount reseed from [seed]. *)
+let build ?profile ?(case = 0) ?(nvm_log_bytes = wal_log_bytes) (c : config) rig
+    ~seed ?plan ?(prng = Prng.create ~seed) source =
+  let dev_prng =
     match (source, rig.on) with
-    | Fresh p, (D_vld | D_regular | D_direct | D_volume _) -> Prng.split p
-    | Fresh _, D_nvm _ | Frozen _, _ -> Prng.create ~seed
+    | Fresh, (D_vld | D_regular | D_direct | D_volume _) -> Prng.split prng
+    | Fresh, D_nvm _ | Frozen _, _ -> Prng.create ~seed
   in
-  let logical ~vld disk =
-    if not vld then
-      Ok
-        (Blockdev.Regular_disk.device
-           (Blockdev.Regular_disk.create ~disk ~spare_blocks ()))
-    else if fresh then
-      Ok
-        (Blockdev.Vld.device
-           (Blockdev.Vld.create ~disk ~logical_blocks:c.logical_blocks ~prng ()))
-    else
-      match Blockdev.Vld.recover ~disk ~prng () with
-      | Ok (vld, _) -> Ok (Blockdev.Vld.device vld)
-      | Error e -> Error ("vld: " ^ e)
-  in
-  let same_drives () = disks and no_settle () = Ok () and no_checks () = [] in
-  let* base, legs, settle, extra_checks =
-    match rig.on with
-    | D_direct -> Ok (`Disk disks.(0), same_drives, no_settle, no_checks)
-    | D_vld | D_regular ->
-      let* dev = logical ~vld:(rig.on = D_vld) disks.(0) in
-      Ok (`Dev dev, same_drives, no_settle, no_checks)
-    | D_volume (layout, leg) ->
-      let layout = vol_shape layout and leg_kind = vol_leg_kind leg in
-      let spare () = drive () in
-      let logical_blocks = c.logical_blocks in
-      let* vol =
-        if fresh then
-          Ok
-            (Volume.create ~spare ~layout ~leg_kind ~logical_blocks ~disks
-               ~prng ())
-        else
-          match
-            Volume.recover ~spare ~layout ~leg_kind ~logical_blocks ~disks
-              ~prng ()
-          with
-          | Error e -> Error ("volume: " ^ e)
-          | Ok (vol, _) ->
-            (* finish any rebuild the recovery started for a dead-on-arrival
-               leg before judging: redundancy must be restorable, not just
-               restored-in-principle *)
-            Volume.settle vol;
-            Ok vol
-      in
-      (* A clean shutdown parks the volume too: suspects resolve or
-         retire, rebuilds finish, dirty regions drain. *)
-      Ok
-        ( `Dev (Volume.device vol),
-          (fun () -> Volume.disks vol),
-          (fun () -> Ok (Volume.settle vol)),
-          fun () -> [ ("volume", Volume_check.check vol) ] )
-    | D_nvm backing ->
-      let nvm = Option.get nvm in
-      let* inner = logical ~vld:(backing = W_vld) disks.(0) in
-      let config =
-        {
-          Nvm.Nvm_wal.default_config with
-          Nvm.Nvm_wal.log_bytes = Some nvm_log_bytes;
-        }
-      in
-      let* wal =
-        if fresh then Ok (Nvm.Nvm_wal.create ~config ~nvm ~inner ())
-        else
-          match Nvm.Nvm_wal.recover ~config ~nvm ~inner () with
-          | Ok (wal, _) -> Ok wal
-          | Error e ->
-            Error (Format.asprintf "wal: %a" Blockdev.Device.pp_io_error e)
-      in
-      (* A clean shutdown parks the staging tier too: everything staged
-         destages and the log resets. *)
-      let drain () =
-        Result.map_error
-          (Format.asprintf "clean-shutdown drain failed: %a"
-             Blockdev.Device.pp_io_error)
-          (Nvm.Nvm_wal.drain wal)
-      in
-      Ok (`Dev (Nvm.Nvm_wal.device wal), same_drives, drain, no_checks)
-  in
-  let host = Host.free in
-  let* typed, notes =
-    match (rig.fs, base) with
-    | F_ufs, `Dev dev -> (
-      if fresh then Ok (T_ufs (Ufs.format ~dev ~host ~clock ufs_cfg), [])
-      else
-        match Ufs.mount ~dev ~host ~clock ufs_cfg with
-        | Error e -> Error ("ufs: " ^ e)
-        | Ok (t, r) ->
-          Ok
-            ( T_ufs t,
-              [
-                ("orphans_cleared", r.Ufs.orphans_cleared);
-                ("dangling_dropped", r.Ufs.dangling_dropped);
-              ] ))
-    | F_lfs, `Dev dev -> (
-      if fresh then Ok (T_lfs (Lfs.format ~dev ~host ~clock lfs_cfg), [])
-      else
-        match Lfs.recover ~dev ~host ~clock lfs_cfg with
-        | Error e -> Error ("lfs: " ^ e)
-        | Ok (t, r) ->
-          Ok
-            ( T_lfs t,
-              [
-                ("inodes_skipped", r.Lfs.inodes_skipped);
-                ("dangling_dropped", r.Lfs.dangling_dropped);
-                ("corrupt_items", r.Lfs.corrupt_items);
-              ] ))
-    | F_vlfs, `Disk disk -> (
-      if fresh then Ok (T_vlfs (Vlfs.format ~disk ~host ~clock vlfs_cfg), [])
-      else
-        match Vlfs.recover ~disk ~host ~config:vlfs_cfg () with
-        | Error e -> Error ("vlfs: " ^ e)
-        | Ok (t, r) ->
-          Ok
-            ( T_vlfs t,
-              [
-                ("inodes_skipped", r.Vlfs.inodes_skipped);
-                ("dangling_dropped", r.Vlfs.dangling_dropped);
-              ] ))
-    | _ -> Error (rig_name rig ^ ": file system and device do not fit")
-  in
-  if fresh then Option.iter place plan;
-  let ops =
-    match typed with
-    | T_ufs t -> wrap_ufs t
-    | T_lfs t -> wrap_lfs t
-    | T_vlfs t -> wrap_vlfs t
-  in
-  let freeze () =
-    {
-      drives =
-        Array.map
-          (fun d -> Disk.Sector_store.snapshot (Disk.Disk_sim.store d))
-          (legs ());
-      nvm = Option.map Nvm.Nvm_sim.snapshot nvm;
-    }
-  in
-  Ok { typed; ops; notes; settle; freeze; extra_checks }
+  Rig.build
+    ~profile:(Option.value profile ~default:(profile_of c))
+    ~ufs:ufs_cfg ~lfs:lfs_cfg ~vlfs:vlfs_cfg ~logical_blocks:c.logical_blocks
+    ~spare_blocks
+    ~wal:{ Nvm.Nvm_wal.default_config with Nvm.Nvm_wal.log_bytes = Some nvm_log_bytes }
+    ?plan ~victim:case ~prng ~dev_prng:(Lazy.from_val dev_prng) rig source
 
 (* ---- The sweep itself ---- *)
 
@@ -631,19 +275,19 @@ let oracle_mode rig kind =
 
 let view_of fso =
   {
-    Oracle.v_files = (fun () -> fso.o_files ());
+    Oracle.v_files = (fun () -> fso.files ());
     v_size =
       (fun n ->
-        match fso.o_size n with
+        match fso.size n with
         | Ok s -> Some s
         | Error _ -> None
         | exception Blockdev.Device.Io_error _ -> None);
     v_read_block =
       (fun n fb ->
         match
-          fso.o_read n ~off:(fb * fso.o_block_bytes) ~len:fso.o_block_bytes
+          fso.read n ~off:(fb * fso.block_bytes) ~len:fso.block_bytes
         with
-        | Ok buf -> if Bytes.length buf = 0 then Error `Gone else Ok buf
+        | Ok (buf, _) -> if Bytes.length buf = 0 then Error `Gone else Ok buf
         | Error (`Io _) -> Error `Io
         | Error _ -> Error `Gone
         | exception Blockdev.Device.Io_error _ -> Error `Io);
@@ -655,9 +299,9 @@ let view_of fso =
    workload mid-operation, a raised [Io_error] stops it (the way a
    kernel remounts a failing disk read-only). *)
 let run_workload (c : config) fso oracle ~wprng ~cut =
-  let bb = fso.o_block_bytes in
+  let bb = fso.block_bytes in
   let version = ref 0 in
-  let barrier_if_sync () = if fso.o_sync_each then Oracle.barrier oracle in
+  let barrier_if_sync () = if fso.sync_each then Oracle.barrier oracle in
   try
      for opi = 1 to c.ops do
        let small = Prng.int wprng 5 < 2 in
@@ -667,16 +311,16 @@ let run_workload (c : config) fso oracle ~wprng ~cut =
        in
        (if not (Oracle.exists oracle name) then begin
           Oracle.begin_create oracle name;
-          match fso.o_create name with
-          | Ok () ->
+          match fso.create name with
+          | Ok _ ->
             Oracle.commit_create oracle name;
             barrier_if_sync ()
           | Error _ -> ()
         end
         else if Prng.int wprng 10 < 2 then begin
           Oracle.begin_delete oracle name;
-          match fso.o_delete name with
-          | Ok () ->
+          match fso.delete name with
+          | Ok _ ->
             Oracle.commit_delete oracle name;
             barrier_if_sync ()
           | Error _ -> ()
@@ -688,25 +332,25 @@ let run_workload (c : config) fso oracle ~wprng ~cut =
           let len = if small then 1024 else bb in
           let off = fblock * bb in
           Oracle.begin_write oracle name ~fblock ~tag:tg ~size:(off + len);
-          match fso.o_write name ~off (Bytes.make len tg) with
-          | Ok () ->
+          match fso.write name ~off (Bytes.make len tg) with
+          | Ok _ ->
             Oracle.commit_write oracle name ~fblock ~tag:tg ~size:(off + len);
             barrier_if_sync ()
           | Error _ -> ()
         end);
-       if (not fso.o_sync_each) && opi mod 4 = 0 then begin
-         fso.o_sync ();
+       if (not fso.sync_each) && opi mod 4 = 0 then begin
+         ignore (fso.sync ());
          Oracle.barrier oracle
        end
      done;
-     fso.o_shutdown ();
+     fso.shutdown ();
      Oracle.barrier oracle
   with
   | Disk.Disk_sim.Power_cut -> cut := true
   | Blockdev.Device.Io_error _ | Disk.Disk_sim.Media_failure _ -> ()
 
 let is_degraded fso =
-  match fso.o_mode () with `Degraded _ -> true | `Rw -> false
+  match fso.mode () with `Degraded _ -> true | `Rw -> false
 
 let run_cell (c : config) { rig; kind; trigger; case } =
   let seed = Int64.add c.seed (Int64.of_int (case * 6029)) in
@@ -734,7 +378,7 @@ let run_cell (c : config) { rig; kind; trigger; case } =
   (match
      build
        ?plan:(if Option.is_some recovery_plan then None else Some plan)
-       (Fresh prng)
+       ~prng Fresh
    with
   | Error e -> failf "format aborted: %s" e
   | Ok st -> (
@@ -752,7 +396,7 @@ let run_cell (c : config) { rig; kind; trigger; case } =
       (* 5. judge: fsck and the rig's own checkers, the oracle, then
          idempotence *)
       if is_degraded st2.ops then degraded := true;
-      let fsck = st2.ops.o_check () in
+      let fsck = fsck st2.typed in
       let media = media_findings_allowed rig kind in
       List.iter
         (fun (label, (report : Report.t)) ->
@@ -765,7 +409,7 @@ let run_cell (c : config) { rig; kind; trigger; case } =
                 failf "%s: [%s] %s" label (Report.category_to_string cat)
                   f.Report.detail)
             report.Report.findings)
-        (("fsck", fsck) :: st2.extra_checks ());
+        (("fsck", fsck) :: extra_checks st2);
       incr oracle_checks;
       List.iter
         (fun m -> failf "oracle: %s" m)
@@ -775,8 +419,8 @@ let run_cell (c : config) { rig; kind; trigger; case } =
       | Some st3 ->
         let signature f =
           List.map
-            (fun n -> (n, match f.o_size n with Ok s -> s | Error _ -> -1))
-            (List.sort compare (f.o_files ()))
+            (fun n -> (n, match f.size n with Ok s -> s | Error _ -> -1))
+            (List.sort compare (f.files ()))
         in
         if signature st2.ops <> signature st3.ops then
           failf "remount is not idempotent (namespace or sizes changed)";
@@ -869,8 +513,8 @@ let or_die which = function
     failwith (Format.asprintf "%s: setup failed: %a" which Blockdev.Fs_error.pp e)
 
 let put which fso (name, len, ch) =
-  or_die which (fso.o_create name);
-  or_die which (fso.o_write name ~off:0 (Bytes.make len ch))
+  or_die which (fso.create name);
+  or_die which (fso.write name ~off:0 (Bytes.make len ch))
 
 (* Where a named file's sole inode copy sits on the drive: the sector
    holding it, its byte offset there, and its length — a UFS inode slot,
@@ -923,13 +567,13 @@ let inode_extent (c : config) st name : (int * int * int, string) result =
 let demo_seed = 0xDE6AL
 
 let expect_degraded which keep fso =
-  match fso.o_mode () with
+  match fso.mode () with
   | `Rw -> Error (which ^ ": mount came up read-write despite damage")
   | `Degraded _ -> (
-    match fso.o_create "zz-new" with
-    | Ok () -> Error (which ^ ": degraded mount accepted a create")
+    match fso.create "zz-new" with
+    | Ok _ -> Error (which ^ ": degraded mount accepted a create")
     | Error `Read_only -> (
-      match fso.o_read keep ~off:0 ~len:512 with
+      match fso.read keep ~off:0 ~len:512 with
       | Ok _ -> Ok ()
       | Error e ->
         Error
@@ -948,17 +592,17 @@ let degraded_demo fsk : (unit, string) result =
   let ( let* ) = Result.bind in
   let prefix r = Result.map_error (fun e -> which ^ ": " ^ e) r in
   let* st =
-    prefix (build c rig ~seed:demo_seed (Fresh (Prng.create ~seed:demo_seed)))
+    prefix (build c rig ~seed:demo_seed Fresh)
   in
   put which st.ops ("keep", 1024, 'k');
   (* Push UFS's victim inode into the second inode-table block so the
      damage cannot touch "keep". *)
   if fsk = F_ufs then
     for i = 1 to 31 do
-      or_die which (st.ops.o_create (Printf.sprintf "pad%d" i))
+      or_die which (st.ops.create (Printf.sprintf "pad%d" i))
     done;
   put which st.ops ("victim", 1024, 'v');
-  st.ops.o_shutdown ();
+  st.ops.shutdown ();
   let* lba, _, _ = prefix (inode_extent c st "victim") in
   let frozen = st.freeze () in
   Disk.Sector_store.rot frozen.drives.(0) ~lba ~sectors:1
@@ -1010,10 +654,10 @@ let make_image ~fs ~corrupt : (Image.header * Disk.Sector_store.t, string) resul
   let seed = 0x13A6EL in
   let ( let* ) = Result.bind in
   let prefix r = Result.map_error (fun e -> "mkimage: " ^ e) r in
-  let* st = prefix (build c rig ~seed (Fresh (Prng.create ~seed))) in
+  let* st = prefix (build c rig ~seed Fresh) in
   List.iter (put "mkimage" st.ops)
     [ ("a", 1024, 'a'); ("b", 4096, 'b'); ("c", 8192, 'c') ];
-  st.ops.o_shutdown ();
+  st.ops.shutdown ();
   let* lba, off, len = prefix (inode_extent c st "b") in
   let store = (st.freeze ()).drives.(0) in
   let prng = Prng.create ~seed in
@@ -1084,12 +728,12 @@ let fsck_image (h : Image.header) store : (fsck_result, string) result =
     build ~profile default rig ~seed:0x5EC7L
       (Frozen { drives = [| store |]; nvm = None })
   in
-  let report = st.ops.o_check () in
+  let report = fsck st.typed in
   let report =
     {
       report with
       Report.findings = findings_of_notes st.notes @ report.Report.findings;
     }
   in
-  Ok { fr_header = h; fr_mode = st.ops.o_mode (); fr_report = report;
+  Ok { fr_header = h; fr_mode = st.ops.mode (); fr_report = report;
        fr_notes = st.notes }

@@ -1,43 +1,11 @@
 (** File-system-level crash/fault sweep: the {!Fault.Sweep} idea lifted
     one layer up.  Each cell runs a seeded metadata-heavy workload on a
-    full stack (file system x device: a drive, a volume, or an NVM
-    write-ahead tier) with a fault plan installed, freezes the media,
-    remounts on fresh drives, and judges the result with the per-FS
-    fsck checker, the durability {!Oracle}, and a remount-idempotence
-    comparison.  One stack builder and one cell body serve every rig. *)
-
-type fs_kind = F_ufs | F_lfs | F_vlfs
-
-type vol_layout = V_stripe | V_mirror | V_raid10
-(** Canonical small volume shapes: 2-group stripe, 2-way mirror,
-    2 x 2 stripe of mirrors. *)
-
-type vol_leg = VL_regular | VL_vld
-
-type wal_backing = W_regular | W_vld
-(** What an NVM-WAL rig's destager drains into. *)
-
-type dev_kind =
-  | D_vld
-  | D_regular
-  | D_direct
-  | D_volume of vol_layout * vol_leg
-      (** the file system runs on a {!Volume} over several drives *)
-  | D_nvm of wal_backing
-      (** an {!Nvm.Nvm_wal} staging tier fronts the logical disk: writes
-          commit at the NVM persist barrier, a destager drains them to
-          the backing device, and remount replays the NVM log first *)
-
-type rig = { fs : fs_kind; on : dev_kind }
-
-val rig_name : rig -> string
-(** ["ufs/vld"], ["vlfs/direct"], ["ufs/mirror-vld"], ["ufs/nvm-vld"], ... *)
-
-val rig_of_string : string -> (rig, string) result
-
-val all_rigs : rig list
-(** The five single-spindle stacks: UFS and LFS on both the virtual log
-    disk and a plain disk, VLFS directly on the drive. *)
+    full stack (a {!Rig}: file system x device, where the device is a
+    drive, a volume, or an NVM write-ahead tier) with a fault plan
+    installed, freezes the media, remounts on fresh drives, and judges
+    the result with the per-FS fsck checker, the durability {!Oracle},
+    and a remount-idempotence comparison.  One cell body serves every
+    rig; {!Rig.build} builds and remounts them all. *)
 
 type config = {
   seed : int64;
@@ -46,16 +14,16 @@ type config = {
   logical_blocks : int;           (** VLD logical size *)
   triggers : int list;            (** I/O counts after which the fault arms *)
   kinds : Fault.Plan.kind list;
-  rigs : rig list;
+  rigs : Rig.rig list;
   vol_triggers : int list;
   vol_kinds : Fault.Plan.kind list;
-  vol_rigs : rig list;
+  vol_rigs : Rig.rig list;
       (** the volume slice of the matrix: its own (rig x kind x trigger)
           product, where the plan lands on one victim leg and whole-drive
           kinds ([death], [hang], [flaky], [latent]) become meaningful *)
   wal_triggers : int list;
   wal_kinds : Fault.Plan.kind list;
-  wal_rigs : rig list;
+  wal_rigs : Rig.rig list;
       (** the NVM-WAL slice: staged rigs judged at the staging tier's
           persistence boundary by the [Nvm_*] kinds (cut before the
           persist barrier, torn NVM record, crash mid-destage, power cut
@@ -75,7 +43,7 @@ val smoke : config
     (torn NVM record and crash mid-destage on the staged-VLD rig). *)
 
 type cell = {
-  rig : rig;
+  rig : Rig.rig;
   kind : Fault.Plan.kind;
   trigger : int;  (** I/O count after which the fault arms *)
   case : int;  (** position in the matrix; perturbs the scenario seed *)
@@ -105,7 +73,7 @@ val sweep : (config, cell) Fault.Cell.t
     Counters: ["power cuts"], ["degraded recoveries"] (remounts that
     came up read-only), ["oracle checks"]. *)
 
-val degraded_demo : fs_kind -> (unit, string) result
+val degraded_demo : Rig.fs_kind -> (unit, string) result
 (** Seeded corruption of one live inode's sole metadata copy on an
     otherwise healthy image; checks the remount comes up [`Degraded],
     refuses writes with [`Read_only], and still serves unaffected
@@ -118,7 +86,7 @@ type corruption = C_none | C_dangling | C_checksum | C_rot
 val corruption_of_string : string -> (corruption, string) result
 
 val make_image :
-  fs:fs_kind ->
+  fs:Rig.fs_kind ->
   corrupt:corruption ->
   (Image.header * Disk.Sector_store.t, string) result
 (** A small healthy file system image, optionally with file "b"'s sole

@@ -10,12 +10,7 @@ let eager_mode ?(scale = Rigs.Full) () =
   in
   List.iter
     (fun (label, mode) ->
-      let rig =
-        Workload.Setup.make ~seed:0xAB1L ~vld_eager_mode:mode ~profile:Rigs.seagate
-          ~host:Rigs.default_host
-          ~fs:(Workload.Setup.UFS { sync_data = true })
-          ~dev:Workload.Setup.VLD ()
-      in
+      let rig = Rigs.rig ~seed:0xAB1L ~eager_mode:mode "ufs/vld" in
       let file_mb = Rigs.file_mb_for_utilization rig 0.92 in
       let r = Workload.Random_update.run ~updates ~warmup ~file_mb rig in
       Table.add_row t
@@ -35,16 +30,11 @@ let compaction_policy ?(scale = Rigs.Full) () =
   in
   List.iter
     (fun (label, policy) ->
-      let rig =
-        Workload.Setup.make ~seed:0xAB2L ~vld_compaction:policy ~profile:Rigs.seagate
-          ~host:Rigs.default_host
-          ~fs:(Workload.Setup.UFS { sync_data = true })
-          ~dev:Workload.Setup.VLD ()
-      in
+      let rig = Rigs.rig ~seed:0xAB2L ~compaction:policy "ufs/vld" in
       let file_mb = Rigs.file_mb_for_utilization rig 0.8 in
       let r = Workload.Burst.run ~bursts ~file_mb ~burst_kb:512 ~idle_ms:300. rig in
       let moved =
-        match rig.Workload.Setup.vld with
+        match rig.device.vld with
         | Some vld ->
           string_of_int
             (Vlog.Compactor.total (Blockdev.Vld.compactor vld)).Vlog.Compactor.blocks_moved

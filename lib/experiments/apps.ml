@@ -2,13 +2,11 @@ open Vlog_util
 
 let systems =
   [
-    ("UFS/regular", Workload.Setup.UFS { sync_data = true }, Workload.Setup.Regular);
-    ("UFS/VLD", Workload.Setup.UFS { sync_data = true }, Workload.Setup.VLD);
-    ( "LFS (buffered)",
-      Workload.Setup.LFS { buffer_blocks = Rigs.nvram_blocks },
-      Workload.Setup.Regular );
-    ("VLFS (sync)", Workload.Setup.VLFS { sync_writes = true }, Workload.Setup.Regular);
-    ("VLFS (buffered)", Workload.Setup.VLFS { sync_writes = false }, Workload.Setup.Regular);
+    ("UFS/regular", "ufs/regular", None);
+    ("UFS/VLD", "ufs/vld", None);
+    ("LFS (buffered)", "lfs/regular", None);
+    ("VLFS (sync)", "vlfs/direct", None);
+    ("VLFS (buffered)", "vlfs/direct", Some Rigs.vlfs_buffered);
   ]
 
 let run ?(scale = Rigs.Full) () =
@@ -21,12 +19,12 @@ let run ?(scale = Rigs.Full) () =
         [ "System"; "TPC-B mean"; "TPC-B p90"; "Postmark ops/s" ]
   in
   List.iter
-    (fun (label, fs, dev) ->
+    (fun (label, name, vlfs) ->
       let txn =
-        Workload.App_workloads.tpcb ~transactions (Rigs.rig ~seed:0xA11L ~fs ~dev ())
+        Workload.App_workloads.tpcb ~transactions (Rigs.rig ~seed:0xA11L ?vlfs name)
       in
       let churn =
-        Workload.App_workloads.postmark ~operations (Rigs.rig ~seed:0xA12L ~fs ~dev ())
+        Workload.App_workloads.postmark ~operations (Rigs.rig ~seed:0xA12L ?vlfs name)
       in
       Table.add_row t
         [

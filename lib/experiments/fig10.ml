@@ -33,11 +33,7 @@ let cell_label c = Printf.sprintf "%dK burst, %.2fs idle" c.c_burst_kb c.c_idle_
    independent of every other cell and safe to run in parallel. *)
 let run_cell ~scale c =
   let _, _, nvram_fills = params_of_scale scale in
-  let rig =
-    Rigs.rig
-      ~fs:(Workload.Setup.LFS { buffer_blocks = Rigs.nvram_blocks })
-      ~dev:Workload.Setup.Regular ()
-  in
+  let rig = Rigs.rig "lfs/regular" in
   let file_mb = Rigs.file_mb_for_utilization rig 0.8 in
   let r =
     Workload.Burst.run

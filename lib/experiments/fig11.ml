@@ -28,11 +28,7 @@ let cell_label c = Printf.sprintf "%dK burst, %.2fs idle" c.c_burst_kb c.c_idle_
 (* Coordinate-seeded like Fig10's cells: no state crosses cells. *)
 let run_cell ~scale c =
   let _, _, total_blocks = params_of_scale scale in
-  let rig =
-    Rigs.rig
-      ~fs:(Workload.Setup.UFS { sync_data = true })
-      ~dev:Workload.Setup.VLD ()
-  in
+  let rig = Rigs.rig "ufs/vld" in
   let file_mb = Rigs.file_mb_for_utilization rig 0.8 in
   let r =
     Workload.Burst.run

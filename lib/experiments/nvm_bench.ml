@@ -5,15 +5,17 @@
    The four rigs bracket the design space the paper's section 6 argues
    about:
 
-   - vld        UFS (sync) on the virtual log disk: every small write
-                pays an eager disk write — the baseline the staging
-                tier must beat;
-   - nvram-lfs  LFS with the paper's 6.1 MB NVRAM write buffer on a
-                regular disk: writes land in the buffer at memory cost,
-                durability rides on the buffer being non-volatile;
-   - nvm-ufs    the NVM write-ahead tier over UFS's regular disk;
-   - nvm-vld    the NVM write-ahead tier destaging onto a VLD — eager
-                placement soaks up the destage stream.
+   - vld        (ufs/vld) UFS (sync) on the virtual log disk: every
+                small write pays an eager disk write — the baseline the
+                staging tier must beat;
+   - nvram-lfs  (lfs/regular) LFS with the paper's 6.1 MB NVRAM write
+                buffer on a regular disk: writes land in the buffer at
+                memory cost, durability rides on the buffer being
+                non-volatile;
+   - nvm-ufs    (ufs/nvm-regular) the NVM write-ahead tier over UFS's
+                regular disk;
+   - nvm-vld    (ufs/nvm-vld) the NVM write-ahead tier destaging onto a
+                VLD — eager placement soaks up the destage stream.
 
    Each cell: warm a 64-block file, then [rounds] bursts of [burst]
    synchronous 4 KB overwrites, each burst followed by an idle gap of
@@ -24,19 +26,29 @@
 
 open Vlog_util
 
-type rig_kind = R_vld | R_nvram_lfs | R_nvm_ufs | R_nvm_vld
+let plain_vld = { Rig.fs = F_ufs; on = D_vld }
+let staged_vld = { Rig.fs = F_ufs; on = D_nvm W_vld }
 
-let rig_label = function
-  | R_vld -> "vld"
-  | R_nvram_lfs -> "nvram-lfs"
-  | R_nvm_ufs -> "nvm-ufs"
-  | R_nvm_vld -> "nvm-vld"
+(* The four rigs with their study labels, in seed-slot order. *)
+let rigs =
+  [
+    ("vld", plain_vld);
+    ("nvram-lfs", { Rig.fs = F_lfs; on = D_regular });
+    ("nvm-ufs", { Rig.fs = F_ufs; on = D_nvm W_regular });
+    ("nvm-vld", staged_vld);
+  ]
 
-let staged = function
-  | R_nvm_ufs | R_nvm_vld -> true
-  | R_vld | R_nvram_lfs -> false
+let rig_slot rk =
+  let rec go i = function
+    | (_, r) :: rest -> if r = rk then i else go (i + 1) rest
+    | [] -> invalid_arg "Nvm_bench: not a study rig"
+  in
+  go 1 rigs
 
-type cell = { rk : rig_kind; burst : int; destage_util : float }
+let rig_label rk = fst (List.nth rigs (rig_slot rk - 1))
+let staged rk = match rk.Rig.on with Rig.D_nvm _ -> true | _ -> false
+
+type cell = { rk : Rig.rig; burst : int; destage_util : float }
 
 type row = {
   r_cell : cell;
@@ -90,144 +102,86 @@ let cells ~scale =
       List.concat_map
         (fun burst -> List.map (fun u -> { rk; burst; destage_util = u }) us)
         (bursts scale))
-    [ R_vld; R_nvram_lfs; R_nvm_ufs; R_nvm_vld ]
+    (List.map snd rigs)
 
 let seed_of ~seed c =
   Int64.of_int
     ((0xA7 * (seed + 1))
-    + (10_000
-      * (match c.rk with
-        | R_vld -> 1
-        | R_nvram_lfs -> 2
-        | R_nvm_ufs -> 3
-        | R_nvm_vld -> 4))
+    + (10_000 * rig_slot c.rk)
     + (7 * c.burst)
     + int_of_float (c.destage_util *. 100.))
 
 let ufs_cfg =
   { Ufs.sync_data = true; n_inodes = 64; cache_blocks = 64; readahead_blocks = 2 }
 
-(* One built rig: a slot writer (synchronous 4 KB overwrite), the idle
-   hook (where a staged rig's destager runs), and a settle hook that
-   empties the staging tier after warmup. *)
-type stack = {
-  sk_clock : Clock.t;
-  sk_write : int -> unit;
-  sk_idle : float -> unit;
-  sk_settle : unit -> unit;
-  sk_log_capacity : int;  (* 0 = no staging tier *)
-}
+let fail c fmt =
+  Format.kasprintf (fun m -> failwith ("nvm bench [" ^ rig_label c.rk ^ "]: " ^ m)) fmt
 
+(* The cell's rig, fresh, with the file "f" created: a staged rig's
+   destager runs inside [destage_util] of each idle window.  Returns the
+   stack and its slot writer (a synchronous 4 KB overwrite). *)
 let make_stack c seed =
-  let clock = Clock.create () in
-  let prng = Prng.create ~seed in
-  let mk_disk policy =
-    Disk.Disk_sim.create ~buffer_policy:policy ~profile:Rigs.seagate ~clock ()
+  let wal =
+    { Nvm.Nvm_wal.default_config with Nvm.Nvm_wal.destage_util = c.destage_util }
   in
-  let mk_vld () =
-    Blockdev.Vld.device
-      (Blockdev.Vld.create ~disk:(mk_disk Disk.Track_buffer.Whole_track)
-         ~logical_blocks:vld_logical_blocks ~prng:(Prng.split prng) ())
-  in
-  let mk_regular () =
-    Blockdev.Regular_disk.device
-      (Blockdev.Regular_disk.create
-         ~disk:(mk_disk Disk.Track_buffer.Forward_discard)
-         ~spare_blocks:8 ())
-  in
-  let mk_staged inner =
-    let nvm = Nvm.Nvm_sim.create ~clock () in
-    let config =
-      { Nvm.Nvm_wal.default_config with Nvm.Nvm_wal.destage_util = c.destage_util }
+  match
+    Rig.build ~profile:Rigs.seagate ~ufs:ufs_cfg ~logical_blocks:vld_logical_blocks
+      ~spare_blocks:8 ~wal ~prng:(Prng.create ~seed) c.rk Rig.Fresh
+  with
+  | Error e -> fail c "%s" e
+  | Ok st ->
+    let die op = function
+      | Ok _ -> ()
+      | Error e -> fail c "%s failed: %a" op Blockdev.Fs_error.pp e
     in
-    let wal = Nvm.Nvm_wal.create ~config ~nvm ~inner () in
-    (Nvm.Nvm_wal.device wal, Some wal)
-  in
-  let dev, wal =
-    match c.rk with
-    | R_vld -> (mk_vld (), None)
-    | R_nvram_lfs -> (mk_regular (), None)
-    | R_nvm_ufs -> mk_staged (mk_regular ())
-    | R_nvm_vld -> mk_staged (mk_vld ())
-  in
-  let die op = function
-    | Ok _ -> ()
-    | Error (e : Blockdev.Fs_error.t) ->
-      failwith
-        (Format.asprintf "nvm bench [%s]: %s failed: %a" (rig_label c.rk) op
-           Blockdev.Fs_error.pp e)
-  in
-  let version = ref 0 in
-  let payload () =
-    incr version;
-    Bytes.make block_bytes (Char.chr (33 + (!version mod 90)))
-  in
-  let sk_write =
-    match c.rk with
-    | R_nvram_lfs ->
-      (* [Lfs.default_config] already is the paper's NVRAM rig: a
-         1561-block (6.1 MB) write buffer treated as non-volatile. *)
-      let t = Lfs.format ~dev ~host:Host.free ~clock Lfs.default_config in
-      die "create" (Lfs.create t "f");
-      fun slot -> die "write" (Lfs.write t "f" ~off:(slot * block_bytes) (payload ()))
-    | R_vld | R_nvm_ufs | R_nvm_vld ->
-      let t = Ufs.format ~dev ~host:Host.free ~clock ufs_cfg in
-      die "create" (Ufs.create t "f");
-      fun slot -> die "write" (Ufs.write t "f" ~off:(slot * block_bytes) (payload ()))
-  in
-  {
-    sk_clock = clock;
-    sk_write;
-    sk_idle = (fun dt -> dev.Blockdev.Device.idle dt);
-    sk_settle =
-      (fun () ->
-        match wal with
-        | None -> ()
-        | Some w -> (
-          match Nvm.Nvm_wal.drain w with
-          | Ok () -> ()
-          | Error e ->
-            failwith
-              (Format.asprintf "nvm bench [%s]: warmup drain failed: %a"
-                 (rig_label c.rk) Blockdev.Device.pp_io_error e)));
-    sk_log_capacity =
-      (match wal with
-      | None -> 0
-      | Some w -> (Nvm.Nvm_wal.status w).Nvm.Nvm_wal.st_log_capacity);
-  }
+    die "create" (st.ops.create "f");
+    let version = ref 0 in
+    let payload () =
+      incr version;
+      Bytes.make block_bytes (Char.chr (33 + (!version mod 90)))
+    in
+    ( st,
+      fun slot -> die "write" (st.ops.write "f" ~off:(slot * block_bytes) (payload ()))
+    )
 
 let run_cell ~scale ~seed c =
-  let st = make_stack c (seed_of ~seed c) in
+  let st, write = make_stack c (seed_of ~seed c) in
+  let clock = st.device.clock in
   for slot = 0 to file_blocks - 1 do
-    st.sk_write slot
+    write slot
   done;
-  st.sk_settle ();
+  Result.iter_error (fail c "warmup %s") (st.settle ());
   let sprng = Prng.create ~seed:(Int64.add (seed_of ~seed c) 1L) in
   let lats = ref [] in
   let burst_times = ref [] in
   for _ = 1 to rounds scale do
-    let b0 = Clock.now st.sk_clock in
+    let b0 = Clock.now clock in
     for _ = 1 to c.burst do
-      let t0 = Clock.now st.sk_clock in
-      st.sk_write (Prng.int sprng file_blocks);
-      lats := (Clock.now st.sk_clock -. t0) :: !lats
+      let t0 = Clock.now clock in
+      write (Prng.int sprng file_blocks);
+      lats := (Clock.now clock -. t0) :: !lats
     done;
-    burst_times := (Clock.now st.sk_clock -. b0) :: !burst_times;
-    st.sk_idle (gap_ms_per_write *. float_of_int c.burst)
+    burst_times := (Clock.now clock -. b0) :: !burst_times;
+    st.device.dev.Blockdev.Device.idle (gap_ms_per_write *. float_of_int c.burst)
   done;
-  let o0 = Clock.now st.sk_clock in
+  let o0 = Clock.now clock in
   let n_over = overload_ops scale in
   for _ = 1 to n_over do
-    st.sk_write (Prng.int sprng file_blocks)
+    write (Prng.int sprng file_blocks)
   done;
-  let over_ms = Clock.now st.sk_clock -. o0 in
+  let over_ms = Clock.now clock -. o0 in
+  let log_capacity =
+    match st.device.wal with
+    | None -> 0
+    | Some w -> (Nvm.Nvm_wal.status w).Nvm.Nvm_wal.st_log_capacity
+  in
   let s = Stats.summarize (List.rev !lats) in
   let burst_fit =
-    st.sk_log_capacity = 0
+    log_capacity = 0
     || 32
        + records_per_sync_write * c.burst
          * Nvm.Nvm_wal.Record.encoded_size ~payload_len:block_bytes
-       <= st.sk_log_capacity
+       <= log_capacity
   in
   {
     r_cell = c;
@@ -257,7 +211,7 @@ let criteria_of ~scale rows =
   let ratios =
     List.filter_map
       (fun burst ->
-        match (find R_vld burst 0., find R_nvm_vld burst umax) with
+        match (find plain_vld burst 0., find staged_vld burst umax) with
         | Some base, Some nvm when nvm.burst_fit && nvm.sync_mean_ms > 0. ->
           Some (base.sync_mean_ms /. nvm.sync_mean_ms)
         | _ -> None)
@@ -268,7 +222,7 @@ let criteria_of ~scale rows =
   in
   let bmax = List.fold_left max 0 (bursts scale) in
   let overload_ratio =
-    match (find R_vld bmax 0., find R_nvm_vld bmax umax) with
+    match (find plain_vld bmax 0., find staged_vld bmax umax) with
     | Some { overload_ops_s = Some base; _ }, Some { overload_ops_s = Some nvm; _ } ->
       base /. nvm
     | _ -> infinity

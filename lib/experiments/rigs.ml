@@ -1,26 +1,37 @@
+open Vlog_util
+
 type scale = Quick | Full
 
-let nvram_blocks = 1561
+let nvram_blocks = Lfs.default_config.Lfs.buffer_blocks
 let seagate = Disk.Profile.st19101
 let hp = Disk.Profile.hp97560
 let default_host = Host.sparc10
+let vlfs_buffered = { Vlfs.default_config with Vlfs.sync_writes = false }
 
-let rig ?(seed = 0x5EEDL) ?(profile = seagate) ?(host = default_host) ~fs ~dev () =
-  Workload.Setup.make ~seed ~profile ~host ~fs ~dev ()
+let rig ?(seed = 0x5EEDL) ?(profile = seagate) ?(host = default_host) ?vlfs ?eager_mode
+    ?compaction name =
+  let rig =
+    match Rig.rig_of_string name with Ok r -> r | Error e -> invalid_arg ("Rigs.rig: " ^ e)
+  in
+  match
+    Rig.build ~profile ~host ?vlfs ?eager_mode ?compaction ~prng:(Prng.create ~seed) rig
+      Rig.Fresh
+  with
+  | Ok st -> st
+  | Error e -> failwith ("Rigs.rig: " ^ e)
 
 let the_four ?(seed = 0x5EEDL) () =
-  let ufs = Workload.Setup.UFS { sync_data = true } in
-  let lfs = Workload.Setup.LFS { buffer_blocks = nvram_blocks } in
+  let labelled name =
+    let st = rig ~seed name in
+    (Rig.label st.Rig.rig, st)
+  in
   [
-    ("UFS/regular", rig ~seed ~fs:ufs ~dev:Workload.Setup.Regular ());
-    ("UFS/VLD", rig ~seed ~fs:ufs ~dev:Workload.Setup.VLD ());
-    ("LFS/regular", rig ~seed ~fs:lfs ~dev:Workload.Setup.Regular ());
-    ("LFS/VLD", rig ~seed ~fs:lfs ~dev:Workload.Setup.VLD ());
+    labelled "ufs/regular"; labelled "ufs/vld"; labelled "lfs/regular"; labelled "lfs/vld";
   ]
 
-let device_mb (t : Workload.Setup.t) =
-  float_of_int (t.Workload.Setup.dev.Blockdev.Device.n_blocks
-                * t.Workload.Setup.dev.Blockdev.Device.block_bytes)
+let device_mb (st : Rig.stack) =
+  let dev = st.device.dev in
+  float_of_int (dev.Blockdev.Device.n_blocks * dev.Blockdev.Device.block_bytes)
   /. 1048576.
 
 let file_mb_for_utilization t target =

@@ -11,16 +11,16 @@ let sync_updates ?(scale = Rigs.Full) () =
   in
   let configs =
     [
-      ("UFS on regular disk", Workload.Setup.UFS { sync_data = true }, Workload.Setup.Regular);
-      ("UFS on VLD", Workload.Setup.UFS { sync_data = true }, Workload.Setup.VLD);
-      ("VLFS (sync)", Workload.Setup.VLFS { sync_writes = true }, Workload.Setup.Regular);
+      ("UFS on regular disk", "ufs/regular");
+      ("UFS on VLD", "ufs/vld");
+      ("VLFS (sync)", "vlfs/direct");
     ]
   in
   List.iter
     (fun target ->
       List.iter
-        (fun (label, fs, dev) ->
-          let rig = Rigs.rig ~fs ~dev () in
+        (fun (label, name) ->
+          let rig = Rigs.rig name in
           let file_mb = Rigs.file_mb_for_utilization rig target in
           let compact_first = label <> "UFS on regular disk" in
           let r = Workload.Random_update.run ~updates ~warmup ~compact_first ~file_mb rig in
@@ -41,8 +41,8 @@ let buffered_small_files ?(scale = Rigs.Full) () =
       ~columns:[ "System"; "create ms"; "read ms"; "delete ms" ]
   in
   List.iter
-    (fun (label, fs) ->
-      let rig = Rigs.rig ~fs ~dev:Workload.Setup.Regular () in
+    (fun (label, name, vlfs) ->
+      let rig = Rigs.rig ?vlfs name in
       let r = Workload.Small_file.run ~files rig in
       Table.add_row t
         [
@@ -52,9 +52,9 @@ let buffered_small_files ?(scale = Rigs.Full) () =
           Table.cell_f r.Workload.Small_file.delete_ms;
         ])
     [
-      ("UFS/regular (baseline)", Workload.Setup.UFS { sync_data = true });
-      ("LFS (buffered)", Workload.Setup.LFS { buffer_blocks = Rigs.nvram_blocks });
-      ("VLFS (buffered)", Workload.Setup.VLFS { sync_writes = false });
+      ("UFS/regular (baseline)", "ufs/regular", None);
+      ("LFS (buffered)", "lfs/regular", None);
+      ("VLFS (buffered)", "vlfs/direct", Some Rigs.vlfs_buffered);
     ];
   t
 

@@ -9,19 +9,15 @@ open Vlog_util
 let ops_of_scale = function Rigs.Quick -> 30 | Rigs.Full -> 150
 let blocks = 256
 
+(* The device half of the mirror-vld rig: no file system on top. *)
 let mk_volume () =
-  let clock = Clock.create () in
-  let mk () =
-    Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track
-      ~profile:Rigs.seagate ~clock ()
-  in
-  let disks = Array.init 2 (fun _ -> mk ()) in
-  let vol =
-    Volume.create ~spare:mk ~layout:(Volume.Mirror 2)
-      ~leg_kind:Volume.Vld_leg ~logical_blocks:blocks ~disks
-      ~prng:(Prng.create ~seed:1137L) ()
-  in
-  (vol, clock)
+  match
+    Rig.build_device ~profile:Rigs.seagate ~logical_blocks:blocks
+      ~prng:(lazy (Prng.create ~seed:1137L))
+      (Rig.D_volume (V_mirror, VL_vld)) Rig.Fresh
+  with
+  | Ok d -> (Option.get d.volume, d.clock)
+  | Error e -> failwith ("volume bench: " ^ e)
 
 let preload vol =
   let dev = Volume.device vol in

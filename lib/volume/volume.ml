@@ -81,6 +81,28 @@ let layout_to_string = function
   | Mirror m -> Printf.sprintf "mirror:%d" m
   | Stripe_of_mirrors (k, m) -> Printf.sprintf "raid10:%dx%d" k m
 
+let layout_of_string s =
+  let int n = try Some (int_of_string n) with _ -> None in
+  match String.split_on_char ':' s with
+  | [ "stripe"; k ] -> (
+    match int k with
+    | Some k when k >= 1 -> Ok (Stripe k)
+    | _ -> Error (Printf.sprintf "bad stripe width %S" k))
+  | [ "mirror"; m ] -> (
+    match int m with
+    | Some m when m >= 2 -> Ok (Mirror m)
+    | _ -> Error (Printf.sprintf "bad mirror width %S (need >= 2)" m))
+  | [ "raid10"; km ] -> (
+    match String.split_on_char 'x' km with
+    | [ k; m ] -> (
+      match (int k, int m) with
+      | Some k, Some m when k >= 1 && m >= 2 -> Ok (Stripe_of_mirrors (k, m))
+      | _ -> Error (Printf.sprintf "bad raid10 shape %S (KxM, M >= 2)" km))
+    | _ -> Error (Printf.sprintf "bad raid10 shape %S (want KxM)" km))
+  | _ ->
+    Error
+      (Printf.sprintf "unknown layout %S (use stripe:K, mirror:M or raid10:KxM)" s)
+
 type leg_impl = Vld of Blockdev.Vld.t | Reg of Blockdev.Regular_disk.t
 
 type leg = {

@@ -56,6 +56,10 @@ val n_legs : layout -> int
 val layout_to_string : layout -> string
 (** ["stripe:2"], ["mirror:2"], ["raid10:2x2"]. *)
 
+val layout_of_string : string -> (layout, string) result
+(** Inverse of {!layout_to_string}: ["stripe:K"] (K >= 1),
+    ["mirror:M"] (M >= 2) or ["raid10:KxM"] (K >= 1, M >= 2). *)
+
 type t
 
 val default_queue_policy : leg_kind -> Disk.Disk_queue.policy

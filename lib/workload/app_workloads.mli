@@ -20,7 +20,7 @@ val tpcb :
   ?transactions:int ->
   ?accounts_mb:float ->
   ?pages_per_txn:int ->
-  Setup.t ->
+  Rig.stack ->
   txn_result
 (** Defaults: 300 transactions, a 10 MB account table, 3 page updates
     plus one history append per transaction.  Every transaction ends
@@ -32,7 +32,7 @@ type churn_result = {
   ops_per_sec : float;  (** of simulated time *)
 }
 
-val postmark : ?operations:int -> ?max_live:int -> Setup.t -> churn_result
+val postmark : ?operations:int -> ?max_live:int -> Rig.stack -> churn_result
 (** Defaults: 2000 operations, at most 300 live files.  Mix: ~40 %
     deliveries (create+write, 1-8 KB), ~25 % reads, ~15 % appends,
     ~20 % expiries; a sync every 50 operations. *)

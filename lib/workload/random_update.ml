@@ -12,45 +12,48 @@ type result = {
 let file = "updatefile"
 let block = 4096
 
-let run ?(updates = 500) ?(warmup = 50) ?(compact_first = false) ~file_mb (t : Setup.t) =
-  let ops = t.Setup.ops in
+let run ?(updates = 500) ?(warmup = 50) ?(compact_first = false) ~file_mb (t : Rig.stack) =
+  let ops = t.ops in
   let blocks = int_of_float (file_mb *. 1048576.) / block in
   if blocks <= 0 then invalid_arg "Random_update.run: file too small";
-  let prng = Prng.split t.Setup.prng in
-  ignore (ops.Setup.create file);
+  let prng = Prng.split t.prng in
+  ignore (Rig.ok_exn (ops.create file));
   (* Fill sequentially in large chunks (placement as a real file). *)
   let chunk_blocks = 16 in
   let data = Bytes.make (chunk_blocks * block) 'f' in
   let full_chunks = blocks / chunk_blocks in
   for c = 0 to full_chunks - 1 do
-    ignore (ops.Setup.write file ~off:(c * chunk_blocks * block) data)
+    ignore (Rig.ok_exn (ops.write file ~off:(c * chunk_blocks * block) data))
   done;
   let rest = blocks - (full_chunks * chunk_blocks) in
   if rest > 0 then
     ignore
-      (ops.Setup.write file
-         ~off:(full_chunks * chunk_blocks * block)
-         (Bytes.make (rest * block) 'f'));
-  ignore (ops.Setup.sync ());
-  if compact_first then ops.Setup.idle 60_000.;
+      (Rig.ok_exn
+         (ops.write file
+            ~off:(full_chunks * chunk_blocks * block)
+            (Bytes.make (rest * block) 'f')));
+  ignore (ops.sync ());
+  if compact_first then ops.idle 60_000.;
   let payload = Bytes.make block 'u' in
-  let one () = ignore (ops.Setup.write file ~off:(Prng.int prng blocks * block) payload) in
+  let one () =
+    ignore (Rig.ok_exn (ops.write file ~off:(Prng.int prng blocks * block) payload))
+  in
   for _ = 1 to warmup do
     one ()
   done;
-  let utilization = ops.Setup.utilization () in
+  let utilization = ops.utilization () in
   let acc = Breakdown.Acc.create () in
   (* Per-update wall latencies feed a log-scale trace histogram, so the
      tail is reported with ~5 % relative precision at any update count. *)
   let hist = Trace.Histogram.create () in
   let (), total_ms =
-    Setup.elapsed t (fun () ->
+    Rig.elapsed t (fun () ->
         for _ = 1 to updates do
-          let t0 = Clock.now t.Setup.clock in
+          let t0 = Clock.now t.device.clock in
           let bd =
-            ops.Setup.write file ~off:(Prng.int prng blocks * block) payload
+            Rig.ok_exn (ops.write file ~off:(Prng.int prng blocks * block) payload)
           in
-          let wall = Clock.now t.Setup.clock -. t0 in
+          let wall = Clock.now t.device.clock -. t0 in
           Trace.Histogram.observe hist wall;
           (* The returned breakdown covers the visible work; flush storms
              (LFS buffer fills) surface as extra wall time, attributed to

@@ -20,7 +20,7 @@ val run :
   ?warmup:int ->
   ?compact_first:bool ->
   file_mb:float ->
-  Setup.t ->
+  Rig.stack ->
   result
 (** Create and fill a [file_mb]-MB file, optionally give the device a
     long idle window so the compactor runs ([compact_first], used for the

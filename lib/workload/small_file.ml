@@ -2,30 +2,30 @@ type result = { create_ms : float; read_ms : float; delete_ms : float; files : i
 
 let name i = Printf.sprintf "small%05d" i
 
-let run ?(files = 1500) (t : Setup.t) =
-  let ops = t.Setup.ops in
+let run ?(files = 1500) (t : Rig.stack) =
+  let ops = t.ops in
   let payload = Bytes.make 1024 'q' in
   let (), create_ms =
-    Setup.elapsed t (fun () ->
+    Rig.elapsed t (fun () ->
         for i = 0 to files - 1 do
-          ignore (ops.Setup.create (name i));
-          ignore (ops.Setup.write (name i) ~off:0 payload)
+          ignore (Rig.ok_exn (ops.create (name i)));
+          ignore (Rig.ok_exn (ops.write (name i) ~off:0 payload))
         done;
-        ignore (ops.Setup.sync ()))
+        ignore (ops.sync ()))
   in
-  ops.Setup.drop_caches ();
+  ops.drop_caches ();
   let (), read_ms =
-    Setup.elapsed t (fun () ->
+    Rig.elapsed t (fun () ->
         for i = 0 to files - 1 do
-          ignore (ops.Setup.read (name i) ~off:0 ~len:1024)
+          ignore (Rig.ok_exn (ops.read (name i) ~off:0 ~len:1024))
         done)
   in
   let (), delete_ms =
-    Setup.elapsed t (fun () ->
+    Rig.elapsed t (fun () ->
         for i = 0 to files - 1 do
-          ignore (ops.Setup.delete (name i))
+          ignore (Rig.ok_exn (ops.delete (name i)))
         done;
-        ignore (ops.Setup.sync ()))
+        ignore (ops.sync ()))
   in
   { create_ms; read_ms; delete_ms; files }
 

@@ -8,7 +8,7 @@ type result = {
   files : int;
 }
 
-val run : ?files:int -> Setup.t -> result
+val run : ?files:int -> Rig.stack -> result
 (** Default 1500 files, as in the paper. *)
 
 val normalize : baseline:result -> result -> float * float * float

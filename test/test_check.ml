@@ -91,7 +91,8 @@ let test_oracle_uncommitted_create_may_vanish () =
 
 (* A trigger the workload can never reach turns a sweep cell into a
    clean build -> shutdown -> remount -> fsck -> oracle -> idempotence
-   roundtrip, for every rig family: single drive, volume and NVM-WAL. *)
+   roundtrip, for every rig the codec accepts ([Rig.every_rig]): a rig
+   cannot be added without its format -> freeze -> remount-clean case. *)
 let test_clean_roundtrip rig () =
   let o =
     Fault.Cell.run_one Fs_sweep.sweep Fs_sweep.default
@@ -139,7 +140,7 @@ let with_image ~fs ~corrupt k =
   | Ok (h, store) -> k h store
 
 let test_image_roundtrip () =
-  with_image ~fs:Fs_sweep.F_vlfs ~corrupt:Fs_sweep.C_none (fun h store ->
+  with_image ~fs:Rig.F_vlfs ~corrupt:Fs_sweep.C_none (fun h store ->
       let path = Filename.temp_file "vlsim-test" ".img" in
       Fun.protect
         ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -320,10 +321,9 @@ let suites =
       List.map
         (fun rig ->
           tc
-            (Printf.sprintf "clean remount roundtrip (%s)" (Fs_sweep.rig_name rig))
+            (Printf.sprintf "clean remount roundtrip (%s)" (Rig.rig_name rig))
             `Quick (test_clean_roundtrip rig))
-        (Fs_sweep.all_rigs @ Fs_sweep.default.Fs_sweep.vol_rigs
-       @ Fs_sweep.default.Fs_sweep.wal_rigs) );
+        Rig.every_rig );
     ( "check:fs-sweep",
       [
         tc "full matrix: >= 150 scenarios, zero violations" `Quick
@@ -346,37 +346,37 @@ let suites =
     ( "check:degraded",
       [
         tc "ufs: rotted inode slot -> read-only mount" `Quick
-          (test_degraded Fs_sweep.F_ufs);
+          (test_degraded Rig.F_ufs);
         tc "lfs: rotted inode part -> read-only mount" `Quick
-          (test_degraded Fs_sweep.F_lfs);
+          (test_degraded Rig.F_lfs);
         tc "vlfs: rotted inode part -> read-only mount" `Quick
-          (test_degraded Fs_sweep.F_vlfs);
+          (test_degraded Rig.F_vlfs);
       ] );
     ( "check:images",
       [
         tc "save/load roundtrip" `Quick test_image_roundtrip;
         tc "garbage rejected" `Quick test_image_load_rejects_garbage;
-        tc "fsck: clean ufs image" `Quick (test_fsck_clean Fs_sweep.F_ufs);
-        tc "fsck: clean lfs image" `Quick (test_fsck_clean Fs_sweep.F_lfs);
-        tc "fsck: clean vlfs image" `Quick (test_fsck_clean Fs_sweep.F_vlfs);
+        tc "fsck: clean ufs image" `Quick (test_fsck_clean Rig.F_ufs);
+        tc "fsck: clean lfs image" `Quick (test_fsck_clean Rig.F_lfs);
+        tc "fsck: clean vlfs image" `Quick (test_fsck_clean Rig.F_vlfs);
         tc "fsck: ufs dangling flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_ufs Fs_sweep.C_dangling);
+          (test_fsck_corrupt Rig.F_ufs Fs_sweep.C_dangling);
         tc "fsck: ufs superblock corruption flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_ufs Fs_sweep.C_checksum);
+          (test_fsck_corrupt Rig.F_ufs Fs_sweep.C_checksum);
         tc "fsck: ufs rot flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_ufs Fs_sweep.C_rot);
+          (test_fsck_corrupt Rig.F_ufs Fs_sweep.C_rot);
         tc "fsck: lfs dangling flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_lfs Fs_sweep.C_dangling);
+          (test_fsck_corrupt Rig.F_lfs Fs_sweep.C_dangling);
         tc "fsck: lfs checksum flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_lfs Fs_sweep.C_checksum);
+          (test_fsck_corrupt Rig.F_lfs Fs_sweep.C_checksum);
         tc "fsck: lfs rot flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_lfs Fs_sweep.C_rot);
+          (test_fsck_corrupt Rig.F_lfs Fs_sweep.C_rot);
         tc "fsck: vlfs dangling flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_vlfs Fs_sweep.C_dangling);
+          (test_fsck_corrupt Rig.F_vlfs Fs_sweep.C_dangling);
         tc "fsck: vlfs checksum flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_vlfs Fs_sweep.C_checksum);
+          (test_fsck_corrupt Rig.F_vlfs Fs_sweep.C_checksum);
         tc "fsck: vlfs rot flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_vlfs Fs_sweep.C_rot);
+          (test_fsck_corrupt Rig.F_vlfs Fs_sweep.C_rot);
       ] );
     ( "check:idempotence",
       [ tc "vlfs recovery is idempotent" `Quick test_vlfs_recover_idempotent ] );

@@ -176,15 +176,9 @@ let test_vlfs_speculation () =
 let test_apps_vld_wins_sync_commits () =
   (* Application-level sanity: UFS-on-VLD commits transactions several
      times faster than update-in-place. *)
-  let rig fs dev = Rigs.rig ~seed:0xA11L ~fs ~dev () in
-  let reg =
-    Workload.App_workloads.tpcb ~transactions:40
-      (rig (Workload.Setup.UFS { sync_data = true }) Workload.Setup.Regular)
-  in
-  let vld =
-    Workload.App_workloads.tpcb ~transactions:40
-      (rig (Workload.Setup.UFS { sync_data = true }) Workload.Setup.VLD)
-  in
+  let rig name = Rigs.rig ~seed:0xA11L name in
+  let reg = Workload.App_workloads.tpcb ~transactions:40 (rig "ufs/regular") in
+  let vld = Workload.App_workloads.tpcb ~transactions:40 (rig "ufs/vld") in
   Alcotest.(check bool)
     (Printf.sprintf "vld %.1f ms << regular %.1f ms"
        vld.Workload.App_workloads.mean_ms reg.Workload.App_workloads.mean_ms)

@@ -105,54 +105,59 @@ let check_exactness ~label trace =
           Breakdown.pp r.Trace.child_sum)
     spans
 
-let rig ~fs ~dev =
-  Workload.Setup.make ~trace:true ~profile:Disk.Profile.st19101 ~host:Host.sparc10
-    ~fs ~dev ()
+let rig ?(trace = true) ?lfs name =
+  match
+    Rig.build ~trace ~profile:Disk.Profile.st19101 ~host:Host.sparc10 ?lfs
+      ~prng:(Prng.create ~seed:0xC0FFEEL)
+      (Result.get_ok (Rig.rig_of_string name))
+      Rig.Fresh
+  with
+  | Ok st -> st
+  | Error e -> Alcotest.fail e
 
-let exact_case label fs dev (run : Workload.Setup.t -> unit) () =
-  let r = rig ~fs ~dev in
+let exact_case label ?lfs name (run : Rig.stack -> unit) () =
+  let r = rig ?lfs name in
   run r;
-  check_exactness ~label (Workload.Setup.trace r)
+  check_exactness ~label r.device.trace
 
 let small_file r = ignore (Workload.Small_file.run ~files:30 r)
 
-let random_update_with_idle r =
+let random_update_with_idle (r : Rig.stack) =
   ignore (Workload.Random_update.run ~updates:60 ~warmup:0 ~file_mb:2. r);
   (* Idle windows exercise the unaccounted spans (cleaner, compactor,
      background flush), which must NOT enter any parent's fold. *)
-  let o = r.Workload.Setup.ops in
-  o.Workload.Setup.idle 2000.;
+  let o = r.ops in
+  o.idle 2000.;
   (* More foreground work after the idle window, so accounted spans
      follow unaccounted ones under the same parents. *)
-  let bs = r.Workload.Setup.dev.Blockdev.Device.block_bytes in
-  ignore (o.Workload.Setup.create "after-idle");
-  ignore (o.Workload.Setup.write "after-idle" ~off:0 (Bytes.make (8 * bs) 'a'));
-  ignore (o.Workload.Setup.sync ());
-  ignore (o.Workload.Setup.read "after-idle" ~off:0 ~len:(4 * bs));
-  ignore (o.Workload.Setup.delete "after-idle")
+  let bs = o.block_bytes in
+  ignore (Rig.ok_exn (o.create "after-idle"));
+  ignore (Rig.ok_exn (o.write "after-idle" ~off:0 (Bytes.make (8 * bs) 'a')));
+  ignore (o.sync ());
+  ignore (Rig.ok_exn (o.read "after-idle" ~off:0 ~len:(4 * bs)));
+  ignore (Rig.ok_exn (o.delete "after-idle"))
+
+let lfs buffer_blocks = { Lfs.default_config with Lfs.buffer_blocks }
 
 let exactness_tests =
   [
-    ("ufs/regular small-file", exact_case "ufs/regular" (Workload.Setup.UFS { sync_data = true }) Workload.Setup.Regular small_file);
-    ("ufs/vld small-file", exact_case "ufs/vld" (Workload.Setup.UFS { sync_data = true }) Workload.Setup.VLD small_file);
-    ("lfs/vld small-file", exact_case "lfs/vld" (Workload.Setup.LFS { buffer_blocks = 256 }) Workload.Setup.VLD small_file);
-    ("vlfs small-file", exact_case "vlfs" (Workload.Setup.VLFS { sync_writes = true }) Workload.Setup.VLD small_file);
-    ("ufs/vld random+idle", exact_case "ufs/vld idle" (Workload.Setup.UFS { sync_data = true }) Workload.Setup.VLD random_update_with_idle);
-    ("lfs/vld random+idle", exact_case "lfs/vld idle" (Workload.Setup.LFS { buffer_blocks = 128 }) Workload.Setup.VLD random_update_with_idle);
-    ("vlfs random+idle", exact_case "vlfs idle" (Workload.Setup.VLFS { sync_writes = true }) Workload.Setup.VLD random_update_with_idle);
+    ("ufs/regular small-file", exact_case "ufs/regular" "ufs/regular" small_file);
+    ("ufs/vld small-file", exact_case "ufs/vld" "ufs/vld" small_file);
+    ("lfs/vld small-file", exact_case "lfs/vld" ~lfs:(lfs 256) "lfs/vld" small_file);
+    ("vlfs small-file", exact_case "vlfs" "vlfs/direct" small_file);
+    ("ufs/vld random+idle", exact_case "ufs/vld idle" "ufs/vld" random_update_with_idle);
+    ( "lfs/vld random+idle",
+      exact_case "lfs/vld idle" ~lfs:(lfs 128) "lfs/vld" random_update_with_idle );
+    ("vlfs random+idle", exact_case "vlfs idle" "vlfs/direct" random_update_with_idle);
   ]
 
 (* --- tracing must not perturb the simulation -------------------------- *)
 
 let test_trace_does_not_change_timing () =
   let run traced =
-    let r =
-      Workload.Setup.make ~trace:traced ~profile:Disk.Profile.st19101
-        ~host:Host.sparc10 ~fs:(Workload.Setup.UFS { sync_data = true })
-        ~dev:Workload.Setup.VLD ()
-    in
+    let r = rig ~trace:traced "ufs/vld" in
     ignore (Workload.Small_file.run ~files:40 r);
-    Clock.now r.Workload.Setup.clock
+    Clock.now r.device.clock
   in
   let off = run false and on_ = run true in
   Alcotest.(check bool)

@@ -286,10 +286,44 @@ let test_stripe_fans_out () =
        read4)
     true (read4 < read1)
 
+(* The layout parser is the printer's inverse, and each malformed form
+   keeps its message. *)
+let test_layout_codec () =
+  let shapes =
+    List.init 16 (fun k -> Volume.Stripe (k + 1))
+    @ List.init 3 (fun m -> Volume.Mirror (m + 2))
+    @ List.concat_map
+        (fun k -> List.init 3 (fun m -> Volume.Stripe_of_mirrors (k, m + 2)))
+        [ 1; 2; 3; 4 ]
+  in
+  List.iter
+    (fun l ->
+      let s = Volume.layout_to_string l in
+      if Volume.layout_of_string s <> Ok l then Alcotest.failf "%s does not round-trip" s)
+    shapes;
+  List.iter
+    (fun (s, expected) ->
+      match Volume.layout_of_string s with
+      | Ok _ -> Alcotest.failf "%S accepted" s
+      | Error e -> Alcotest.(check string) s expected e)
+    [
+      ("stripe:0", "bad stripe width \"0\"");
+      ("stripe:x", "bad stripe width \"x\"");
+      ("mirror:1", "bad mirror width \"1\" (need >= 2)");
+      ("mirror:", "bad mirror width \"\" (need >= 2)");
+      ("raid10:2x1", "bad raid10 shape \"2x1\" (KxM, M >= 2)");
+      ("raid10:0x2", "bad raid10 shape \"0x2\" (KxM, M >= 2)");
+      ("raid10:22", "bad raid10 shape \"22\" (want KxM)");
+      ("raid10:2x2x2", "bad raid10 shape \"2x2x2\" (want KxM)");
+      ("raid5:3", "unknown layout \"raid5:3\" (use stripe:K, mirror:M or raid10:KxM)");
+      ("mirror", "unknown layout \"mirror\" (use stripe:K, mirror:M or raid10:KxM)");
+    ]
+
 let suites =
   [
     ( "volume",
       [
+        Alcotest.test_case "layout codec round-trips" `Quick test_layout_codec;
         Alcotest.test_case "death: failover, degraded writes, rebuild" `Quick
           test_death_failover_and_rebuild;
         Alcotest.test_case "hung leg: bounded stall" `Quick

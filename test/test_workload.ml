@@ -2,52 +2,75 @@ open Vlog_util
 
 let sparc = Host.sparc10
 
-let make ~fs ~dev =
-  Workload.Setup.make ~seed:0xFEEDL ~cylinders:6 ~profile:Disk.Profile.st19101
-    ~host:sparc ~fs ~dev ()
+let profile = Disk.Profile.with_cylinders Disk.Profile.st19101 6
+let lfs_small = { Lfs.default_config with Lfs.buffer_blocks = 64 }
 
-let ufs_sync = Workload.Setup.UFS { sync_data = true }
-let lfs_small = Workload.Setup.LFS { buffer_blocks = 64 }
+let make ?lfs name =
+  match
+    Rig.build ~profile ~host:sparc ?lfs ~prng:(Prng.create ~seed:0xFEEDL)
+      (Result.get_ok (Rig.rig_of_string name))
+      Rig.Fresh
+  with
+  | Ok st -> st
+  | Error e -> Alcotest.fail e
 
 let test_setup_builds_all_four () =
   List.iter
-    (fun (fs, dev) -> ignore (make ~fs ~dev))
+    (fun (lfs, name) -> ignore (make ?lfs name))
     [
-      (ufs_sync, Workload.Setup.Regular);
-      (ufs_sync, Workload.Setup.VLD);
-      (lfs_small, Workload.Setup.Regular);
-      (lfs_small, Workload.Setup.VLD);
+      (None, "ufs/regular");
+      (None, "ufs/vld");
+      (Some lfs_small, "lfs/regular");
+      (Some lfs_small, "lfs/vld");
     ]
 
 let test_ops_roundtrip () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.VLD in
-  let ops = rig.Workload.Setup.ops in
-  ignore (ops.Workload.Setup.create "f");
-  ignore (ops.Workload.Setup.write "f" ~off:0 (Bytes.make 4096 'z'));
-  let data, _ = ops.Workload.Setup.read "f" ~off:0 ~len:4096 in
+  let rig = make "ufs/vld" in
+  let ops = rig.ops in
+  ignore (Rig.ok_exn (ops.create "f"));
+  ignore (Rig.ok_exn (ops.write "f" ~off:0 (Bytes.make 4096 'z')));
+  let data, _ = Rig.ok_exn (ops.read "f" ~off:0 ~len:4096) in
   Alcotest.(check bytes) "roundtrip" (Bytes.make 4096 'z') data
 
 let test_ops_failure_raises () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.Regular in
-  let ops = rig.Workload.Setup.ops in
-  match ops.Workload.Setup.read "missing" ~off:0 ~len:1 with
+  let rig = make "ufs/regular" in
+  let ops = rig.ops in
+  match Rig.ok_exn (ops.read "missing" ~off:0 ~len:1) with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected Failure"
 
+(* A file-system error surfaces through the workload face as the one
+   [Failure] text, whichever call site meets it first: here the read of
+   a missing file, and the fill writes of a file larger than the rig. *)
+let test_errors_surface () =
+  let raises what expected f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Failure %S" what expected
+    | exception Failure m -> Alcotest.(check string) what expected m
+  in
+  let ops = (make "ufs/regular").ops in
+  raises "read of a missing file" "file system error: missing: not found" (fun () ->
+      Rig.ok_exn (ops.read "missing" ~off:0 ~len:1));
+  List.iter
+    (fun (lfs, name) ->
+      raises (name ^ " fill past capacity") "file system error: no space" (fun () ->
+          Workload.Random_update.run ~updates:0 ~warmup:0 ~file_mb:64. (make ?lfs name)))
+    [ (None, "ufs/regular"); (None, "ufs/vld"); (Some lfs_small, "lfs/vld") ]
+
 let test_elapsed_measures_clock () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.Regular in
-  let (), ms = Workload.Setup.elapsed rig (fun () -> Clock.advance rig.Workload.Setup.clock 3.5) in
+  let rig = make "ufs/regular" in
+  let (), ms = Rig.elapsed rig (fun () -> Clock.advance rig.device.clock 3.5) in
   Alcotest.(check (float 1e-9)) "elapsed" 3.5 ms
 
 let test_idle_advances_clock () =
-  let rig = make ~fs:lfs_small ~dev:Workload.Setup.VLD in
-  let t0 = Clock.now rig.Workload.Setup.clock in
-  rig.Workload.Setup.ops.Workload.Setup.idle 250.;
+  let rig = make ~lfs:lfs_small "lfs/vld" in
+  let t0 = Clock.now rig.device.clock in
+  rig.ops.idle 250.;
   Alcotest.(check (float 1e-6)) "idle advances exactly" (t0 +. 250.)
-    (Clock.now rig.Workload.Setup.clock)
+    (Clock.now rig.device.clock)
 
 let test_small_file_driver () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.Regular in
+  let rig = make "ufs/regular" in
   let r = Workload.Small_file.run ~files:40 rig in
   Alcotest.(check int) "files" 40 r.Workload.Small_file.files;
   Alcotest.(check bool) "create took time" true (r.Workload.Small_file.create_ms > 0.);
@@ -63,7 +86,7 @@ let test_small_file_normalize () =
   Alcotest.(check (float 1e-9)) "delete 4x" 4. d
 
 let test_large_file_driver () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.VLD in
+  let rig = make "ufs/vld" in
   let phases = Workload.Large_file.run ~mb:1 ~sync_phase:true rig in
   Alcotest.(check int) "6 phases" 6 (List.length phases);
   List.iter
@@ -71,14 +94,14 @@ let test_large_file_driver () =
     phases
 
 let test_large_file_no_sync_phase () =
-  let rig = make ~fs:lfs_small ~dev:Workload.Setup.Regular in
+  let rig = make ~lfs:lfs_small "lfs/regular" in
   let phases = Workload.Large_file.run ~mb:1 ~sync_phase:false rig in
   Alcotest.(check int) "5 phases" 5 (List.length phases);
   Alcotest.(check bool) "no sync phase" true
     (not (List.mem_assoc Workload.Large_file.Random_write_sync phases))
 
 let test_random_update_driver () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.Regular in
+  let rig = make "ufs/regular" in
   let r = Workload.Random_update.run ~updates:50 ~warmup:5 ~file_mb:1. rig in
   Alcotest.(check int) "updates" 50 r.Workload.Random_update.updates;
   Alcotest.(check bool) "latency sane" true
@@ -88,25 +111,25 @@ let test_random_update_driver () =
     (r.Workload.Random_update.utilization > 0.)
 
 let test_random_update_breakdown_consistent () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.Regular in
+  let rig = make "ufs/regular" in
   let r = Workload.Random_update.run ~updates:50 ~warmup:5 ~file_mb:1. rig in
   let total = Breakdown.total r.Workload.Random_update.breakdown in
   Alcotest.(check (float 0.02)) "breakdown total = wall latency"
     r.Workload.Random_update.mean_latency_ms total
 
 let test_vld_beats_regular_on_updates () =
-  let measure dev =
-    let rig = make ~fs:ufs_sync ~dev in
+  let measure name =
+    let rig = make name in
     (Workload.Random_update.run ~updates:80 ~warmup:10 ~file_mb:2. rig)
       .Workload.Random_update.mean_latency_ms
   in
-  let reg = measure Workload.Setup.Regular and vld = measure Workload.Setup.VLD in
+  let reg = measure "ufs/regular" and vld = measure "ufs/vld" in
   Alcotest.(check bool)
     (Printf.sprintf "vld %.2f < regular %.2f" vld reg)
     true (vld < reg)
 
 let test_burst_driver () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.VLD in
+  let rig = make "ufs/vld" in
   let r = Workload.Burst.run ~bursts:3 ~settle_ms:100. ~file_mb:1. ~burst_kb:64 ~idle_ms:50. rig in
   Alcotest.(check int) "bursts" 3 r.Workload.Burst.bursts;
   Alcotest.(check int) "blocks" 16 r.Workload.Burst.burst_blocks;
@@ -115,7 +138,7 @@ let test_burst_driver () =
 let test_burst_idle_not_counted () =
   (* Foreground latency must not include the idle windows. *)
   let measure idle_ms =
-    let rig = make ~fs:ufs_sync ~dev:Workload.Setup.Regular in
+    let rig = make "ufs/regular" in
     (Workload.Burst.run ~bursts:3 ~settle_ms:0. ~file_mb:1. ~burst_kb:64 ~idle_ms rig)
       .Workload.Burst.latency_ms_per_block
   in
@@ -187,6 +210,7 @@ let suites =
         Alcotest.test_case "builds all four rigs" `Quick test_setup_builds_all_four;
         Alcotest.test_case "ops roundtrip" `Quick test_ops_roundtrip;
         Alcotest.test_case "failure raises" `Quick test_ops_failure_raises;
+        Alcotest.test_case "errors surface with their text" `Quick test_errors_surface;
         Alcotest.test_case "elapsed" `Quick test_elapsed_measures_clock;
         Alcotest.test_case "idle advances clock" `Quick test_idle_advances_clock;
       ] );
