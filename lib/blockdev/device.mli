@@ -23,7 +23,19 @@
     implement the triple with {!sync_queue} (host-side FIFO, service at
     the barrier — byte-identical to calling the sync closures directly);
     a device backed by a reordering drive queue ({!Disk.Disk_queue})
-    exposes its native batched front separately. *)
+    exposes its native batched front separately.
+
+    {2 Write buffer ownership}
+
+    A device may keep a reference to a write buffer only until the
+    synchronous call returns, or, for a submitted [Write]/[Write_run],
+    until the [drain] that services it returns.  Every implementation
+    copies the bytes into its platter model (or, for the NVM tier, its
+    log) before it acks: {!Regular_disk} and {!Vld} write through
+    {!Disk.Disk_sim}, the queued VLD face and a volume run each
+    command's service inside the barrier, and {!sync_queue} holds only
+    its backlog.  So a caller may reuse a write buffer as soon as the
+    call, or that drain, has returned. *)
 
 type io_error = {
   op : [ `Read | `Write ];

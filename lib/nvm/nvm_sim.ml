@@ -37,7 +37,12 @@ type t = {
   trace : Trace.sink;
   merged : Bytes.t;  (* what loads observe: front applied over media *)
   persisted : Bytes.t;  (* what survives a power cut *)
-  front : (int * Bytes.t) Queue.t;  (* stores not yet persisted, oldest first *)
+  front : (int * int) Queue.t;  (* stores not yet persisted, oldest first: (off, len) *)
+  mutable ring : Bytes.t;
+      (* the front's bytes in store order, wrapping, the oldest entry's
+         from [head]: a store is copied in here once and blitted out to
+         the media when it persists *)
+  mutable head : int;
   mutable front_bytes : int;
   mutable injector : injector option;
   mutable nvm_reads : int;
@@ -64,6 +69,8 @@ let create ?(profile = default_profile) ?image ?(trace = Trace.null) ~clock () =
     merged = Bytes.copy persisted;
     persisted;
     front = Queue.create ();
+    ring = Bytes.create (max 1 profile.volatile_front_bytes);
+    head = 0;
     front_bytes = 0;
     injector = None;
     nvm_reads = 0;
@@ -105,10 +112,29 @@ let read_into t ~off ~len dst ~pos =
   t.bytes_read <- t.bytes_read + len;
   Bytes.blit t.merged off dst pos len
 
-let read t ~off ~len =
-  let dst = Bytes.create (max 0 len) in
-  read_into t ~off ~len dst ~pos:0;
-  dst
+(* Blit the first [len] front bytes (the oldest entry's, from [head])
+   to [dst] at [pos]: two blits when they wrap past the end of the ring. *)
+let ring_out t ~len dst ~pos =
+  let cap = Bytes.length t.ring in
+  let first = min len (cap - t.head) in
+  Bytes.blit t.ring t.head dst pos first;
+  Bytes.blit t.ring 0 dst (pos + first) (len - first)
+
+(* Make room for a [len]-byte store.  The ring starts at the front's
+   capacity; the first store that overflows it doubles it (once, for a
+   fixed store size), copying the live bytes in order to the start. *)
+let reserve t len =
+  let cap = Bytes.length t.ring in
+  if t.front_bytes + len > cap then begin
+    let cap' = ref (2 * cap) in
+    while t.front_bytes + len > !cap' do
+      cap' := 2 * !cap'
+    done;
+    let ring = Bytes.create !cap' in
+    ring_out t ~len:t.front_bytes ring ~pos:0;
+    t.ring <- ring;
+    t.head <- 0
+  end
 
 (* Persist the oldest front entry unconditionally (ADR overflow drain:
    once a store is pushed out of the write-pending queue it has reached
@@ -116,16 +142,23 @@ let read t ~off ~len =
 let drain_oldest t =
   match Queue.take_opt t.front with
   | None -> ()
-  | Some (off, payload) ->
-    Bytes.blit payload 0 t.persisted off (Bytes.length payload);
-    t.front_bytes <- t.front_bytes - Bytes.length payload
+  | Some (off, len) ->
+    ring_out t ~len t.persisted ~pos:off;
+    t.head <- (t.head + len) mod Bytes.length t.ring;
+    t.front_bytes <- t.front_bytes - len
 
 let write t ~off payload =
   let len = Bytes.length payload in
   check_range t ~off ~len "write";
   Clock.advance t.clock (t.profile.write_latency_ms +. transfer_ms t len);
   Bytes.blit payload 0 t.merged off len;
-  Queue.add (off, Bytes.copy payload) t.front;
+  reserve t len;
+  let cap = Bytes.length t.ring in
+  let tail = (t.head + t.front_bytes) mod cap in
+  let first = min len (cap - tail) in
+  Bytes.blit payload 0 t.ring tail first;
+  Bytes.blit payload first t.ring 0 (len - first);
+  Queue.add (off, len) t.front;
   t.front_bytes <- t.front_bytes + len;
   t.nvm_writes <- t.nvm_writes + 1;
   t.bytes_written <- t.bytes_written + len;
@@ -142,16 +175,13 @@ let apply_prefix t budget =
   let left = ref budget in
   let stop = ref false in
   while (not !stop) && not (Queue.is_empty t.front) do
-    let off, payload = Queue.peek t.front in
-    let len = Bytes.length payload in
+    let off, len = Queue.peek t.front in
     if len <= !left then begin
-      ignore (Queue.take t.front);
-      Bytes.blit payload 0 t.persisted off len;
-      t.front_bytes <- t.front_bytes - len;
+      drain_oldest t;
       left := !left - len
     end
     else begin
-      Bytes.blit payload 0 t.persisted off !left;
+      ring_out t ~len:!left t.persisted ~pos:off;
       stop := true
     end
   done

@@ -49,20 +49,21 @@ val profile : t -> profile
 val clock : t -> Vlog_util.Clock.t
 val size : t -> int
 
-val read : t -> off:int -> len:int -> Bytes.t
-(** Load [len] bytes at [off] from the merged view (volatile front over
-    persisted media).  Charges load latency + transfer time. *)
-
 val read_into : t -> off:int -> len:int -> Bytes.t -> pos:int -> unit
-(** {!read} into a caller-owned buffer at [pos]: the same charge and
-    counters; {!read} is this into a fresh buffer. *)
+(** Load [len] bytes at [off] from the merged view (volatile front over
+    persisted media) into a caller-owned buffer at [pos].  Charges load
+    latency + transfer time. *)
 
 val write : t -> off:int -> Bytes.t -> unit
 (** Store the buffer at [off].  The data lands in the volatile front and
     is {e not} yet guaranteed durable; the store is visible to
-    subsequent {!read}s immediately.  Charges store latency + transfer
-    time, and auto-drains the oldest front entries into the persisted
-    image when the front overflows. *)
+    subsequent {!read_into}s immediately.  Charges store latency +
+    transfer time, and auto-drains the oldest front entries into the
+    persisted image when the front overflows.
+
+    Copy-on-store: the bytes are copied into storage the region owns (a
+    byte ring holding the front) before [write] returns, so the caller
+    may reuse its buffer at once. *)
 
 val persist : t -> unit
 (** Persistence barrier: every store made so far is on the persisted

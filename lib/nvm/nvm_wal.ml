@@ -34,16 +34,19 @@ module Record = struct
 
   let encoded_size ~payload_len = rec_hdr + payload_len + 8
 
+  let encode_into buf ~pos ~seq ~block src ~src_pos ~len =
+    Bytes.blit_string rec_magic 0 buf pos 4;
+    Bytes.set_int64_le buf (pos + 4) seq;
+    Bytes.set_int64_le buf (pos + 12) (Int64.of_int block);
+    Bytes.set_int64_le buf (pos + 20) (Int64.of_int len);
+    Bytes.blit src src_pos buf (pos + rec_hdr) len;
+    let crc = Checksum.add_words Checksum.empty buf ~pos ~len:(rec_hdr + len) in
+    Bytes.set_int64_le buf (pos + rec_hdr + len) crc
+
   let encode { seq; block; payload } =
-    let plen = Bytes.length payload in
-    let buf = Bytes.create (encoded_size ~payload_len:plen) in
-    Bytes.blit_string rec_magic 0 buf 0 4;
-    Bytes.set_int64_le buf 4 seq;
-    Bytes.set_int64_le buf 12 (Int64.of_int block);
-    Bytes.set_int64_le buf 20 (Int64.of_int plen);
-    Bytes.blit payload 0 buf rec_hdr plen;
-    let crc = Checksum.add_words Checksum.empty buf ~pos:0 ~len:(rec_hdr + plen) in
-    Bytes.set_int64_le buf (rec_hdr + plen) crc;
+    let len = Bytes.length payload in
+    let buf = Bytes.create (encoded_size ~payload_len:len) in
+    encode_into buf ~pos:0 ~seq ~block payload ~src_pos:0 ~len;
     buf
 
   let decode buf ~pos =
@@ -133,9 +136,9 @@ type config = {
 let default_config =
   { destage_util = 0.5; log_bytes = None; max_stage_run = 4; destage_batch = 8 }
 
-(* A staged entry's payload lives only in the NVM log; destage and
-   overlay reads fetch it from there (and pay the NVM load for it). *)
-type entry = { e_block : int; e_off : int; e_len : int }
+(* A staged entry's one-block payload lives only in the NVM log; destage
+   and overlay reads fetch it from there (and pay the NVM load for it). *)
+type entry = { e_block : int; e_off : int }
 
 type t = {
   cfg : config;
@@ -149,6 +152,11 @@ type t = {
   overlay : (int, int) Hashtbl.t;  (* block -> payload offset of newest record *)
   mutable destaged : int;  (* entries destaged since the last reset *)
   mutable cost_est : float;  (* last observed destage cost, ms *)
+  record : Bytes.t;  (* one record's encoding, reused by every append *)
+  blocks : Bytes.t array;
+      (* destage buffers, one per window slot; reused once the window's
+         [drain] has returned, because every device copies a write
+         buffer before it acks *)
 }
 
 let log_limit t =
@@ -174,8 +182,10 @@ let create ?(config = default_config) ~nvm ~inner () =
     | Some b -> min b (Nvm_sim.size nvm)
     | None -> Nvm_sim.size nvm
   in
-  if limit < header_bytes + Record.encoded_size ~payload_len:inner.Device.block_bytes
-  then invalid_arg "Nvm_wal.create: log region smaller than one record";
+  let bb = inner.Device.block_bytes in
+  let record_bytes = Record.encoded_size ~payload_len:bb in
+  if limit < header_bytes + record_bytes then
+    invalid_arg "Nvm_wal.create: log region smaller than one record";
   let t =
     {
       cfg = config;
@@ -189,6 +199,8 @@ let create ?(config = default_config) ~nvm ~inner () =
       overlay = Hashtbl.create 64;
       destaged = 0;
       cost_est = 1.0;
+      record = Bytes.create record_bytes;
+      blocks = Array.init (max 1 config.destage_batch) (fun _ -> Bytes.create bb);
     }
   in
   Nvm_sim.write nvm ~off:0 (encode_header ~base_seq:t.base_seq);
@@ -223,11 +235,13 @@ let destage_window t ~limit =
   let batch = List.rev !batch in
   if batch = [] then Ok 0
   else begin
+    let bb = t.inner.Device.block_bytes in
     let tagged =
-      List.map
-        (fun e ->
-          let payload = Nvm_sim.read t.nvm ~off:e.e_off ~len:e.e_len in
-          (t.inner.Device.submit (Device.Write (e.e_block, payload)), e))
+      List.mapi
+        (fun i e ->
+          let buf = t.blocks.(i) in
+          Nvm_sim.read_into t.nvm ~off:e.e_off ~len:bb buf ~pos:0;
+          (t.inner.Device.submit (Device.Write (e.e_block, buf)), e))
         batch
     in
     let acks = Hashtbl.create (List.length tagged) in
@@ -307,21 +321,20 @@ let pump t ~deadline =
 
 (* ---- The write path ------------------------------------------------ *)
 
-let stage t ~block ~payload_off ~payload_len =
-  Queue.add { e_block = block; e_off = payload_off; e_len = payload_len } t.pending;
+let stage t ~block ~payload_off =
+  Queue.add { e_block = block; e_off = payload_off } t.pending;
   Hashtbl.replace t.overlay block payload_off;
   t.next_seq <- Int64.succ t.next_seq
 
-(* Append a batch of block writes as one committed unit: all records
-   stored, then a single persist barrier — the commit point.  [`Bypass]
-   means the batch cannot fit even an empty log (the caller writes it
-   straight to the drained backing device). *)
-let append_run t pairs =
-  let need =
-    List.fold_left
-      (fun acc (_, p) -> acc + Record.encoded_size ~payload_len:(Bytes.length p))
-      0 pairs
-  in
+(* Append a batch of block writes, each [(block, src, pos)]: the block's
+   bytes start at [pos] in [src].  The batch is one committed unit: all
+   records stored, then a single persist barrier — the commit point.
+   Each record is encoded into [t.record] and stored with one NVM write.
+   [`Bypass] means the batch cannot fit even an empty log (the caller
+   writes it straight to the drained backing device). *)
+let append_run t blocks =
+  let bb = t.inner.Device.block_bytes in
+  let need = List.length blocks * Bytes.length t.record in
   let fits () = t.tail + need <= log_limit t in
   let roomy =
     if fits () then Ok ()
@@ -332,24 +345,20 @@ let append_run t pairs =
   | Ok () ->
     if not (fits ()) then Ok `Bypass
     else begin
-      let staged = ref [] in
-      let seq = ref t.next_seq in
-      List.iter
-        (fun (block, payload) ->
-          let plen = Bytes.length payload in
-          let img = Record.encode { Record.seq = !seq; block; payload } in
-          Nvm_sim.write t.nvm ~off:t.tail img;
-          staged := (block, t.tail + rec_hdr, plen) :: !staged;
-          t.tail <- t.tail + Bytes.length img;
-          seq := Int64.succ !seq)
-        pairs;
+      let start = t.tail in
+      let off i = start + (i * Bytes.length t.record) in
+      List.iteri
+        (fun i (block, src, pos) ->
+          let seq = Int64.add t.next_seq (Int64.of_int i) in
+          Record.encode_into t.record ~pos:0 ~seq ~block src ~src_pos:pos ~len:bb;
+          Nvm_sim.write t.nvm ~off:(off i) t.record)
+        blocks;
+      t.tail <- start + need;
       (* commit point: a power cut in here tears writes that never
          returned — losing them is legal *)
       Nvm_sim.persist t.nvm;
-      List.iter
-        (fun (block, off, len) -> stage t ~block ~payload_off:off ~payload_len:len)
-        (List.rev !staged);
-      Trace.incr t.inner.Device.trace ~by:(List.length pairs) "nvm.staged";
+      List.iteri (fun i (block, _, _) -> stage t ~block ~payload_off:(off i + rec_hdr)) blocks;
+      Trace.incr t.inner.Device.trace ~by:(List.length blocks) "nvm.staged";
       Ok `Staged
     end
 
@@ -361,9 +370,18 @@ let nvm_span f =
    let r = f () in
    (r, Breakdown.of_other (Clock.now clock -. t0))
 
+(* The staged face refuses what the backing device would refuse, at call
+   time: a staged write is acked long before it reaches the device. *)
+let check t block count =
+  if block < 0 || count <= 0 || block + count > t.inner.Device.n_blocks then
+    invalid_arg "Nvm_wal: block range out of bounds"
+
 let dev_write t block payload =
+  check t block 1;
+  if Bytes.length payload <> t.inner.Device.block_bytes then
+    invalid_arg "Nvm_wal.write: buffer must be exactly one block";
   let clock = Nvm_sim.clock t.nvm in
-  let (r, bd) = nvm_span (fun () -> append_run t [ (block, payload) ]) clock in
+  let (r, bd) = nvm_span (fun () -> append_run t [ (block, payload, 0) ]) clock in
   match r with
   | Error e -> Error e
   | Ok `Staged -> Ok (Io.make ~counters:[ ("nvm_staged", 1) ] bd)
@@ -371,17 +389,14 @@ let dev_write t block payload =
 
 let dev_write_run t block payload =
   let bb = t.inner.Device.block_bytes in
-  let n = (Bytes.length payload + bb - 1) / bb in
+  if Bytes.length payload = 0 || Bytes.length payload mod bb <> 0 then
+    invalid_arg "Nvm_wal.write_run: buffer must be whole blocks";
+  let n = Bytes.length payload / bb in
+  check t block n;
   if n <= t.cfg.max_stage_run then begin
-    let pairs =
-      List.init n (fun i ->
-          let len = min bb (Bytes.length payload - (i * bb)) in
-          let slice = Bytes.make bb '\000' in
-          Bytes.blit payload (i * bb) slice 0 len;
-          (block + i, slice))
-    in
+    let blocks = List.init n (fun i -> (block + i, payload, i * bb)) in
     let clock = Nvm_sim.clock t.nvm in
-    let (r, bd) = nvm_span (fun () -> append_run t pairs) clock in
+    let (r, bd) = nvm_span (fun () -> append_run t blocks) clock in
     match r with
     | Error e -> Error e
     | Ok `Staged -> Ok (Io.make ~counters:[ ("nvm_staged", n) ] bd)

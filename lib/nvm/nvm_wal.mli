@@ -42,7 +42,17 @@ module Record : sig
   type t = { seq : int64; block : int; payload : Bytes.t }
 
   val encoded_size : payload_len:int -> int
+
+  val encode_into :
+    Bytes.t -> pos:int -> seq:int64 -> block:int -> Bytes.t -> src_pos:int -> len:int -> unit
+  (** [encode_into buf ~pos ~seq ~block src ~src_pos ~len] writes the
+      record whose payload is the [len] bytes of [src] at [src_pos] into
+      [buf] at [pos], filling [encoded_size ~payload_len:len] bytes.
+      The one encoder: the staging path encodes every record in place
+      into one reused buffer. *)
+
   val encode : t -> Bytes.t
+  (** A fresh buffer holding exactly the record ({!encode_into} at 0). *)
 
   val decode : Bytes.t -> pos:int -> (t * int) option
   (** [decode buf ~pos] is [Some (record, next_pos)], or [None] when the
@@ -105,7 +115,11 @@ val device : t -> Blockdev.Device.t
 (** The staged device: same blocks as the backing device, write-ahead
     semantics as above.  [idle dt] first runs the destager inside its
     duty-cycle budget, then passes the remaining window down (a VLD
-    still gets its compaction time). *)
+    still gets its compaction time).  [write] and [write_run] refuse at
+    call time what the backing device would refuse, with
+    [Invalid_argument]: a buffer that is not exactly one block (not
+    whole blocks, for a run) or a block range outside the device.  Both
+    copy the caller's bytes into the log before returning. *)
 
 val inner : t -> Blockdev.Device.t
 val nvm : t -> Nvm_sim.t
