@@ -133,23 +133,31 @@ let move_cost t ~cyl ~track =
   if cyl <> t.cyl then Float.max seek switch else switch
 
 (* Rotational frame: sector s of global track T is under the head when the
-   platter phase (in sector units) equals (s + skew * T) mod n. *)
+   platter phase (in sector units) equals (s + skew * T) mod n.  Time is
+   never negative, so the phase is in [0, n) and, less the skew term in
+   [0, n), in (-n, n): one conditional [+ n] is its [fmod] ([fmod] is
+   exact and returns an operand already inside (-n, n) unchanged).  A
+   phase a hair below the skew term rounds to exactly [n] there;
+   [rotational_delay_from] handles that position. *)
 let sector_position_at t ~track_index ~at =
   let n = sectors_per_track t in
   let sector_time = Profile.sector_ms t.profile in
   let phase = Float.rem (at /. sector_time) (float_of_int n) in
-  let skewed = phase -. float_of_int (t.profile.Profile.track_skew * track_index mod n) in
-  let pos = Float.rem skewed (float_of_int n) in
+  let pos = phase -. float_of_int (t.profile.Profile.track_skew * track_index mod n) in
   if pos < 0. then pos +. float_of_int n else pos
 
-(* Delay from a known rotational position: one subtraction, one
-   remainder, one multiply — the closed form the eager allocator
-   evaluates per candidate after computing the track's position once. *)
+(* Delay from a known rotational position [pos] in [0, n]: one
+   subtraction, one multiply — the closed form the eager allocator
+   evaluates per candidate after computing the track's position once
+   ([Eager] carries a copy of this arithmetic).  [sector - pos] is in
+   [-n, n): inside (-n, n) the cyclic distance is one conditional
+   [+ n]; [-n] occurs only for sector 0 at [pos = n], and there it is
+   -0, what [fmod (-n) n] gives. *)
 let rotational_delay_from t ~pos ~sector =
   let n = float_of_int (sectors_per_track t) in
   let sector_time = Profile.sector_ms t.profile in
-  let dist = Float.rem (float_of_int sector -. pos) n in
-  let dist = if dist < 0. then dist +. n else dist in
+  let dist = float_of_int sector -. pos in
+  let dist = if dist >= 0. then dist else if dist > -.n then dist +. n else -0. in
   dist *. sector_time
 
 let rotational_delay_to t ~track_index ~sector ~at =
@@ -169,11 +177,6 @@ let iter_pieces t ~lba ~sectors f =
     end
   in
   go lba sectors
-
-let track_pieces t ~lba ~sectors =
-  let acc = ref [] in
-  iter_pieces t ~lba ~sectors (fun addr piece -> acc := (addr, piece) :: !acc);
-  List.rev !acc
 
 (* Mechanically access one within-track piece at the current clock time:
    position, rotate, transfer.  Advances the clock and moves the head.
@@ -214,14 +217,20 @@ let access_piece t addr piece =
   bd
 
 let estimate_access t ~lba ~sectors =
-  (* Simulate the pieces without committing: only the first piece's
-     position matters for the estimate; later pieces stream with skew.  We
-     estimate conservatively as first-piece positioning + total transfer +
-     head switches between pieces. *)
-  let g = geometry t in
-  match track_pieces t ~lba ~sectors with
-  | [] -> 0.
-  | (addr, _) :: rest_pieces as pieces ->
+  (* Only the first piece's position matters for the estimate; later
+     pieces stream with skew.  We estimate conservatively as first-piece
+     positioning + total transfer + a head switch per further piece. *)
+  if sectors <= 0 then 0.
+  else begin
+    let g = geometry t in
+    let n = g.Geometry.sectors_per_track in
+    let addr = Geometry.addr_of_lba g lba in
+    (* Every piece after the first starts on a track boundary; the last
+       one must lie on the disk, as [iter_pieces] would find. *)
+    let rest = sectors - min sectors (n - addr.Geometry.sector) in
+    let further = (rest + n - 1) / n in
+    if further > 0 && not (Geometry.valid_lba g (lba + sectors - 1)) then
+      invalid_arg "Geometry.addr_of_lba: lba out of range";
     let mv = move_cost t ~cyl:addr.Geometry.cyl ~track:addr.Geometry.track in
     let track_index = Geometry.track_index g addr in
     let rot =
@@ -229,11 +238,9 @@ let estimate_access t ~lba ~sectors =
         ~at:(Clock.now t.clock +. mv)
     in
     let xfer = float_of_int sectors *. Profile.sector_ms t.profile in
-    let switches =
-      float_of_int (List.length rest_pieces) *. t.profile.Profile.head_switch_ms
-    in
-    ignore pieces;
+    let switches = float_of_int further *. t.profile.Profile.head_switch_ms in
     mv +. rot +. xfer +. switches
+  end
 
 let charge_scsi t scsi =
   if scsi then begin

@@ -150,8 +150,11 @@ val move_cost : t -> cyl:int -> track:int -> float
 val sector_position_at : t -> track_index:int -> at:float -> float
 (** The (continuous) sector coordinate — the rotational angle in sector
     units — of the given track that is under the head at absolute time
-    [at], accounting for track skew.  Closed form: one evaluation, no
-    iteration.  In [\[0, sectors_per_track)]. *)
+    [at] (>= 0, as simulated time always is), accounting for track skew.
+    Closed form: one evaluation, no iteration.  In
+    [\[0, sectors_per_track\]]: the upper end only when the skewed phase
+    is a hair below zero and rounds up, which {!rotational_delay_from}
+    treats like position 0 (up to the sign of a zero delay). *)
 
 val rotational_delay_to : t -> track_index:int -> sector:int -> at:float -> float
 (** Milliseconds of rotation needed, starting at absolute time [at], for

@@ -6,30 +6,17 @@ let prime = 0x100000001B3L
 let add_byte h b =
   Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) prime
 
-(* The bulk path keeps the hash as a (hi, lo) pair of 32-bit values in
-   native ints: Int64 arithmetic boxes every intermediate, which on a
-   4 KB block means ~12k allocations per digest.  The FNV prime is
-   2^40 + 0x1B3, so h * prime mod 2^64 decomposes into native-int
-   shifts and one small multiply, every intermediate fitting in 63 bits:
-
-     low 32  = (lo * 0x1B3) mod 2^32
-     high 32 = (lo * 0x1B3) / 2^32 + hi * 0x1B3 + lo * 2^8   (mod 2^32)
-
-   (the hi * 2^32 * 2^40 term is congruent to 0 mod 2^64). *)
-let mask32 = 0xFFFFFFFF
-
+(* The bulk paths keep the hash in a local [ref]: it never escapes, so
+   ocamlopt holds it unboxed in a register, and each step is one xor and
+   one 64-bit multiply (wrapping mod 2^64, as FNV-1a specifies). *)
 let add_sub_bytes h buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then
     invalid_arg "Checksum.add_sub_bytes";
-  let hi = ref (Int64.to_int (Int64.shift_right_logical h 32) land mask32) in
-  let lo = ref (Int64.to_int (Int64.logand h 0xFFFFFFFFL)) in
+  let h = ref h in
   for i = pos to pos + len - 1 do
-    let l = !lo lxor Char.code (Bytes.unsafe_get buf i) in
-    let a = l * 0x1B3 in
-    hi := ((a lsr 32) + (!hi * 0x1B3) + (l lsl 8)) land mask32;
-    lo := a land mask32
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get buf i)))) prime
   done;
-  Int64.logor (Int64.shift_left (Int64.of_int !hi) 32) (Int64.of_int !lo)
+  !h
 
 let add_bytes h buf = add_sub_bytes h buf ~pos:0 ~len:(Bytes.length buf)
 
@@ -52,25 +39,17 @@ external bswap64 : int64 -> int64 = "%bswap_int64"
 let add_words h buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then
     invalid_arg "Checksum.add_words";
-  let hi = ref (Int64.to_int (Int64.shift_right_logical h 32) land mask32) in
-  let lo = ref (Int64.to_int (Int64.logand h 0xFFFFFFFFL)) in
+  let h = ref h in
   let n_words = len / 8 in
   for w = 0 to n_words - 1 do
     let raw = get64u buf (pos + (w * 8)) in
     let word = if Sys.big_endian then bswap64 raw else raw in
-    let l = !lo lxor (Int64.to_int word land mask32) in
-    let h' = !hi lxor Int64.to_int (Int64.shift_right_logical word 32) in
-    let a = l * 0x1B3 in
-    hi := ((a lsr 32) + (h' * 0x1B3) + (l lsl 8)) land mask32;
-    lo := a land mask32
+    h := Int64.mul (Int64.logxor !h word) prime
   done;
   for i = pos + (n_words * 8) to pos + len - 1 do
-    let l = !lo lxor Char.code (Bytes.unsafe_get buf i) in
-    let a = l * 0x1B3 in
-    hi := ((a lsr 32) + (!hi * 0x1B3) + (l lsl 8)) land mask32;
-    lo := a land mask32
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get buf i)))) prime
   done;
-  Int64.logor (Int64.shift_left (Int64.of_int !hi) 32) (Int64.of_int !lo)
+  !h
 
 let add_string h s =
   let h = ref h in

@@ -7,6 +7,7 @@ type t = {
   freemap : Freemap.t;
   mode : mode;
   switch_free_fraction : float;
+  seek : Float.Array.t;  (* seek time by cylinder distance *)
   mutable empty_tracks : int list;
   mutable active_track : int option;
   mutable exclusion : (int -> bool) option;
@@ -16,11 +17,15 @@ type t = {
 let create ?(mode = Sweep) ?(switch_free_fraction = 0.25) ~disk ~freemap () =
   if switch_free_fraction < 0. || switch_free_fraction >= 1. then
     invalid_arg "Eager.create: switch_free_fraction must be in [0,1)";
+  let profile = Disk.Disk_sim.profile disk in
   {
     disk;
     freemap;
     mode;
     switch_free_fraction;
+    seek =
+      Float.Array.init profile.Disk.Profile.geometry.Disk.Geometry.cylinders
+        (Disk.Profile.seek_ms profile);
     empty_tracks = [];
     active_track = None;
     exclusion = None;
@@ -38,56 +43,112 @@ let cylinder t track = Freemap.cylinder_of_track t.freemap track
 let track_move_cost t track =
   Disk.Disk_sim.move_cost t.disk ~cyl:(cylinder t track) ~track:(surface t track)
 
-(* In-track block index whose start sector is the cyclically next to pass
-   under the head when the rotational position is [pos]: the smallest
-   slot k with k * sectors_per_block >= pos, which is [blocks_per_track]
-   (i.e. wrap to slot 0) when the head is already past the last block
-   boundary.  The float ceiling is corrected with exact comparisons so
-   the result never disagrees with the per-block float costs. *)
-let first_slot_at_or_after t pos =
-  let spb = float_of_int (Freemap.sectors_per_block t.freemap) in
-  let k = ref (int_of_float (Float.ceil (pos /. spb))) in
-  if !k < 0 then k := 0;
-  while !k > 0 && float_of_int (!k - 1) *. spb >= pos do decr k done;
-  while float_of_int !k *. spb < pos do incr k done;
-  !k
+(* The rotational frame of one search, read from the drive once: the
+   per-track evaluator below needs nothing else, so the hot loop makes
+   no cross-module float call.  It is [Disk_sim.sector_position_at] and
+   [Disk_sim.rotational_delay_from] taken apart: the phase
+   [(arrival / sector_ms) mod n] depends only on the arrival time, which
+   is the same for every track of a cylinder reached with the same move,
+   so the caller computes it once per cylinder and move class; a track
+   adds only its skew.  The formula exists twice, here and in
+   [Disk_sim]; the alloc-equivalence tests pin the two equal bit for
+   bit. *)
+type frame = {
+  spt : int;  (* sectors per track *)
+  skew : int;  (* track skew, sectors *)
+  spb : int;  (* sectors per block *)
+  bpt : int;  (* blocks per track *)
+  n : float;  (* [spt] as a float *)
+  spbf : float;  (* [spb] as a float *)
+  sector_ms : float;
+  start : float;  (* now + lead time: the arrival before any move *)
+}
 
-(* Cheapest (move + rotation) free block of one track, via the freemap's
-   allocation index: the track's rotational position is computed once
-   (closed form), the winning block is the cyclically next free slot —
-   no fold over occupied blocks.  [cutoff] prunes: once the rotational
-   lower bound (delay to the next block boundary, free or not) pushes
-   the track's cost to [cutoff] or beyond, no block in it can improve on
-   the caller's best candidate and the scan is skipped.  [lead_time]
-   models delay (e.g. SCSI processing) before the mechanical access can
-   start. *)
-let best_in_track_indexed t ~move ~cutoff ~lead_time track =
-  if Freemap.free_in_track t.freemap track = 0 then None
+(* The best cost so far.  An all-float record is stored flat, so
+   recording a better candidate allocates nothing. *)
+type best = { mutable cost : float }
+
+let frame t ~lead_time =
+  let profile = Disk.Disk_sim.profile t.disk in
+  let spt = profile.Disk.Profile.geometry.Disk.Geometry.sectors_per_track in
+  let spb = Freemap.sectors_per_block t.freemap in
+  let start = Clock.now (Disk.Disk_sim.clock t.disk) +. lead_time in
+  (* Simulated time never runs below zero; the per-track arithmetic
+     relies on it (the phase is then in [0, n)). *)
+  if not (start >= 0.) then invalid_arg "Eager: arrival before time zero";
+  {
+    spt;
+    skew = profile.Disk.Profile.track_skew;
+    spb;
+    bpt = Freemap.blocks_per_track t.freemap;
+    n = float_of_int spt;
+    spbf = float_of_int spb;
+    sector_ms = Disk.Profile.sector_ms profile;
+    start;
+  }
+
+(* Rotational phase, in sectors, of a head that arrives [move] after the
+   frame's start. *)
+let[@inline] phase fr ~move = Float.rem ((fr.start +. move) /. fr.sector_ms) fr.n
+
+(* Milliseconds until [sector] reaches a head at rotational position
+   [pos] in [0, n].  [sector - pos] lies in [-n, n): inside (-n, n) the
+   cyclic distance is one conditional [+ n]; [-n] occurs only for sector
+   0 when [pos] is exactly [n] (a skewed phase just below zero, rounded
+   up by the [+ n]), and there it is -0, what [fmod (-n) n] gives. *)
+let[@inline] delay fr ~pos sector =
+  let d = float_of_int sector -. pos in
+  let d = if d >= 0. then d else if d > -.fr.n then d +. fr.n else -0. in
+  d *. fr.sector_ms
+
+(* The one per-track evaluator, shared by [greedy] and [best_in_track].
+   The track's rotational position is computed once from the arrival
+   [phase] (its [fmod] over whole revolutions already taken); the
+   winning block is the cyclically next free slot from the freemap's
+   allocation index — no fold over occupied blocks.  The rotational
+   lower bound (delay to the next block boundary, free or not) prunes
+   the index lookup once [move] plus it reaches [best.cost].  Returns
+   the block and lowers [best.cost] when the track beats it; -1
+   otherwise. *)
+let[@inline] offer t fr best ~phase ~move track =
+  if Freemap.free_in_track t.freemap track = 0 then -1
   else begin
-    let arrival = Clock.now (Disk.Disk_sim.clock t.disk) +. lead_time +. move in
-    let pos = Disk.Disk_sim.sector_position_at t.disk ~track_index:track ~at:arrival in
-    let bpt = Freemap.blocks_per_track t.freemap in
-    let spb = Freemap.sectors_per_block t.freemap in
-    let slot =
-      let k = first_slot_at_or_after t pos in
-      if k >= bpt then 0 else k
-    in
-    (* Rotational lower bound: even the very next block boundary is
-       [rot_lb] away, so every free block costs at least [move + rot_lb]. *)
-    let rot_lb = Disk.Disk_sim.rotational_delay_from t.disk ~pos ~sector:(slot * spb) in
-    if move +. rot_lb >= cutoff then None
-    else
-      match Freemap.nearest_free_in_track t.freemap ~track ~slot with
-      | None -> None
-      | Some block ->
-        let sector = Freemap.start_sector_of_block t.freemap block in
-        let rot = Disk.Disk_sim.rotational_delay_from t.disk ~pos ~sector in
-        Some (move +. rot, block)
+    (* [phase] is in [0, n) and the skew term in [0, n), so the skewed
+       position is in (-n, n) and one conditional [+ n] is its [fmod]. *)
+    let skewed = phase -. float_of_int (fr.skew * track mod fr.spt) in
+    let pos = if skewed < 0. then skewed +. fr.n else skewed in
+    (* The smallest slot k with k * spb >= pos — the first block
+       boundary at or after the head — wrapping to slot 0 past the last
+       one.  The float ceiling is corrected with exact comparisons so
+       the slot never disagrees with the per-block float costs. *)
+    let k = ref (int_of_float (Float.ceil (pos /. fr.spbf))) in
+    while !k > 0 && float_of_int (!k - 1) *. fr.spbf >= pos do decr k done;
+    while float_of_int !k *. fr.spbf < pos do incr k done;
+    let slot = if !k >= fr.bpt then 0 else !k in
+    if move +. delay fr ~pos (slot * fr.spb) >= best.cost then -1
+    else begin
+      let block = Freemap.nearest_free_in_track t.freemap ~track ~slot in
+      if block < 0 then -1
+      else begin
+        let cost = move +. delay fr ~pos ((block - (track * fr.bpt)) * fr.spb) in
+        if cost < best.cost then begin
+          best.cost <- cost;
+          block
+        end
+        else -1
+      end
+    end
   end
 
+(* Cheapest (move + rotation) free block of one track.  [lead_time]
+   models delay (e.g. SCSI processing) before the mechanical access can
+   start. *)
 let best_in_track t ~lead_time track =
-  best_in_track_indexed t ~move:(track_move_cost t track) ~cutoff:infinity ~lead_time
-    track
+  let fr = frame t ~lead_time in
+  let best = { cost = infinity } in
+  let move = track_move_cost t track in
+  let block = offer t fr best ~phase:(phase fr ~move) ~move track in
+  if block < 0 then None else Some (best.cost, block)
 
 let locate_cost t block =
   let track = Freemap.track_of_block t.freemap block in
@@ -105,41 +166,44 @@ let locate_cost t block =
    whole search stops there); a track whose move cost — seek and head
    switch, hoisted per cylinder so every track of it is costed against
    the same arrival basis — reaches the best cost is skipped; and the
-   rotational lower bound inside [best_in_track_indexed] prunes the rest.
-   Ties keep the earliest candidate in search order, exactly like the
-   reference fold. *)
+   rotational lower bound inside [offer] prunes the rest.  Seek times
+   come from the per-distance table built at [create].  Ties keep the
+   earliest candidate in search order, exactly like the reference
+   fold. *)
 let greedy t ~exclude_tracks ~lead_time =
+  let fr = frame t ~lead_time in
   let g = Freemap.geometry t.freemap in
   let cylinders = g.Disk.Geometry.cylinders in
   let tpc = g.Disk.Geometry.tracks_per_cylinder in
   let cur = Disk.Disk_sim.current_cylinder t.disk in
   let cur_surface = Disk.Disk_sim.current_track t.disk in
-  let profile = Disk.Disk_sim.profile t.disk in
-  let hs = profile.Disk.Profile.head_switch_ms in
+  let hs = (Disk.Disk_sim.profile t.disk).Disk.Profile.head_switch_ms in
+  let seek_ms d = Float.Array.get t.seek d in
+  let best = { cost = infinity } in
   let best_block = ref (-1) in
-  let best_cost = ref infinity in
   let eval_cylinder c =
     if Freemap.free_in_cylinder t.freemap c > 0 then begin
-      let seek = Disk.Profile.seek_ms profile (abs (c - cur)) in
-      if seek < !best_cost then begin
-        (* The two move costs any track of this cylinder can have,
-           computed once: staying on the current surface, or paying the
-           head switch. *)
-        let move_same = if c <> cur then Float.max seek 0. else 0. in
-        let move_switch = if c <> cur then Float.max seek hs else hs in
+      let seek = seek_ms (abs (c - cur)) in
+      if seek < best.cost then begin
+        (* The two move costs any track of this cylinder can have, and
+           the arrival phase of each, computed once: staying on the
+           current surface, or paying the head switch.  A seek is never
+           negative, so [max seek 0.] is [seek]. *)
+        let move_same = if c <> cur then seek else 0. in
+        let move_switch = if c <> cur && seek >= hs then seek else hs in
+        let phase_same = phase fr ~move:move_same in
+        let phase_switch = phase fr ~move:move_switch in
         let base = c * tpc in
         for s = 0 to tpc - 1 do
           let track = base + s in
           if not (exclude_tracks track) then begin
-            let move = if s = cur_surface then move_same else move_switch in
-            if move < !best_cost then
-              match
-                best_in_track_indexed t ~move ~cutoff:!best_cost ~lead_time track
-              with
-              | Some (cost, block) when cost < !best_cost ->
-                best_cost := cost;
-                best_block := block
-              | Some _ | None -> ()
+            let same = s = cur_surface in
+            let move = if same then move_same else move_switch in
+            if move < best.cost then begin
+              let phase = if same then phase_same else phase_switch in
+              let block = offer t fr best ~phase ~move track in
+              if block >= 0 then best_block := block
+            end
           end
         done
       end
@@ -153,8 +217,7 @@ let greedy t ~exclude_tracks ~lead_time =
     let d = ref 0 in
     let stop = ref false in
     while (not !stop) && !d < cylinders do
-      if !best_block >= 0 && Disk.Profile.seek_ms profile !d >= !best_cost then
-        stop := true
+      if !best_block >= 0 && seek_ms !d >= best.cost then stop := true
       else begin
         if cur + !d < cylinders then eval_cylinder (cur + !d);
         if !d > 0 && cur - !d >= 0 then eval_cylinder (cur - !d);
@@ -170,8 +233,7 @@ let greedy t ~exclude_tracks ~lead_time =
     let stop = ref false in
     while (not !stop) && !d < cylinders do
       let min_rem_dist = if cur = 0 then !d else if !d = 0 then 0 else 1 in
-      if !best_block >= 0 && Disk.Profile.seek_ms profile min_rem_dist >= !best_cost
-      then stop := true
+      if !best_block >= 0 && seek_ms min_rem_dist >= best.cost then stop := true
       else begin
         eval_cylinder ((cur + !d) mod cylinders);
         incr d

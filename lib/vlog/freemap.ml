@@ -11,7 +11,8 @@ type t = {
   bad : Bytes.t;
   (* Allocation index: one bit per block, set = free.  Kept consistent
      with [occupied] by the three mutators below; padded to a whole
-     number of 64-bit words so the scanners can read full words. *)
+     number of 64-bit words plus one, so the scanner can load 64 bits
+     at any block's byte. *)
   free_bits : Bytes.t;
   free_per_track : int array;
   free_per_cyl : int array;
@@ -27,7 +28,7 @@ let create ~geometry ~sectors_per_block =
   let n_tracks = Disk.Geometry.total_tracks geometry in
   let n_blocks = blocks_per_track * n_tracks in
   let n_words = (n_blocks + 63) / 64 in
-  let free_bits = Bytes.make (n_words * 8) '\000' in
+  let free_bits = Bytes.make ((n_words + 1) * 8) '\000' in
   (* All blocks start free: set the first [n_blocks] bits. *)
   for b = 0 to n_blocks - 1 do
     let i = b lsr 3 in
@@ -146,61 +147,54 @@ let free_in_cylinder t cyl = t.free_per_cyl.(cyl)
 let occupied_in_track t track = t.blocks_per_track - t.free_per_track.(track)
 let utilization t = 1. -. (float_of_int t.free_total /. float_of_int t.n_blocks)
 
-(* Trailing zero count of a nonzero word; the scanners below touch at
-   most a couple of words per query, so a branchy version is fine. *)
-let ctz64 v =
+(* Trailing zero count of a nonzero native int; the scanners below
+   call it once per query, so a branchy version is fine. *)
+let ctz v =
   let n = ref 0 and v = ref v in
-  if Int64.logand !v 0xFFFFFFFFL = 0L then begin
-    n := !n + 32;
-    v := Int64.shift_right_logical !v 32
+  if !v land 0xFFFFFFFF = 0 then begin
+    n := 32;
+    v := !v lsr 32
   end;
-  if Int64.logand !v 0xFFFFL = 0L then begin
+  if !v land 0xFFFF = 0 then begin
     n := !n + 16;
-    v := Int64.shift_right_logical !v 16
+    v := !v lsr 16
   end;
-  if Int64.logand !v 0xFFL = 0L then begin
+  if !v land 0xFF = 0 then begin
     n := !n + 8;
-    v := Int64.shift_right_logical !v 8
+    v := !v lsr 8
   end;
-  if Int64.logand !v 0xFL = 0L then begin
+  if !v land 0xF = 0 then begin
     n := !n + 4;
-    v := Int64.shift_right_logical !v 4
+    v := !v lsr 4
   end;
-  if Int64.logand !v 0x3L = 0L then begin
+  if !v land 0x3 = 0 then begin
     n := !n + 2;
-    v := Int64.shift_right_logical !v 2
+    v := !v lsr 2
   end;
-  if Int64.logand !v 0x1L = 0L then incr n;
+  if !v land 0x1 = 0 then incr n;
   !n
 
-(* First free block in [lo, hi), or -1.  Word-at-a-time over the bitset;
-   track ranges are not word-aligned (9 blocks/track on the HP profile),
-   so the first and last word are masked. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* First free block in [lo, hi), or -1.  Each step loads the 64 bits
+   that start at [p]'s byte (unaligned, little-endian; the bitset is
+   padded by a word, so the load stays inside) and keeps the up-to-56
+   bits from [p] on as a native int: no masking of word edges, and
+   nothing boxed.  A range of up to 56 blocks — the rest of a track of
+   the ST (32 blocks) or HP (9 blocks) profile — is one load. *)
 let first_free_in_range t ~lo ~hi =
-  if lo >= hi then -1
-  else begin
-    let w0 = lo lsr 6 and w1 = (hi - 1) lsr 6 in
-    let rec go w =
-      if w > w1 then -1
-      else begin
-        let v = Bytes.get_int64_le t.free_bits (w lsl 3) in
-        let v =
-          if w = w0 then Int64.logand v (Int64.shift_left Int64.minus_one (lo land 63))
-          else v
-        in
-        let v =
-          if w = w1 then begin
-            let live = hi - (w lsl 6) in
-            if live >= 64 then v
-            else Int64.logand v (Int64.sub (Int64.shift_left 1L live) 1L)
-          end
-          else v
-        in
-        if v = 0L then go (w + 1) else (w lsl 6) + ctz64 v
-      end
+  let p = ref lo and found = ref (-1) in
+  while !found < 0 && !p < hi do
+    let len = min 56 (hi - !p) in
+    let raw = get64 t.free_bits (!p lsr 3) in
+    let v = if Sys.big_endian then bswap64 raw else raw in
+    let bits =
+      Int64.to_int (Int64.shift_right_logical v (!p land 7)) land ((1 lsl len) - 1)
     in
-    go w0
-  end
+    if bits <> 0 then found := !p + ctz bits else p := !p + len
+  done;
+  !found
 
 let first_free_at_or_after t ~track ~slot =
   if track < 0 || track >= t.n_tracks then
@@ -211,9 +205,9 @@ let first_free_at_or_after t ~track ~slot =
   let b = first_free_in_range t ~lo:(base + slot) ~hi:(base + t.blocks_per_track) in
   if b < 0 then None else Some b
 
-(* Cyclically-first free block of the track at or after [slot]: the one
-   whose start sector next passes under the head when the head is at the
-   rotational position of slot [slot]. *)
+(* Cyclically-first free block of the track at or after [slot], or -1:
+   the one whose start sector next passes under the head when the head
+   is at the rotational position of slot [slot]. *)
 let nearest_free_in_track t ~track ~slot =
   if track < 0 || track >= t.n_tracks then
     invalid_arg "Freemap.nearest_free_in_track: track out of range";
@@ -221,11 +215,7 @@ let nearest_free_in_track t ~track ~slot =
     invalid_arg "Freemap.nearest_free_in_track: slot out of range";
   let base = track * t.blocks_per_track in
   let b = first_free_in_range t ~lo:(base + slot) ~hi:(base + t.blocks_per_track) in
-  if b >= 0 then Some b
-  else begin
-    let b = first_free_in_range t ~lo:base ~hi:(base + slot) in
-    if b >= 0 then Some b else None
-  end
+  if b >= 0 then b else first_free_in_range t ~lo:base ~hi:(base + slot)
 
 (* Consistency of the redundant representations; used by tests and
    debugging, not by the hot path. *)

@@ -263,6 +263,54 @@ let test_sim_estimate_close_to_actual () =
   let bd = Disk_sim.write ~scsi:false disk ~lba:1000 (Bytes.make 4096 'x') in
   close ~eps:0.5 "estimate" (Breakdown.total bd) est
 
+(* [estimate_access] counts a request's per-track pieces without listing
+   them; its estimate must equal the one assembled here from the public
+   probes and a sector-by-sector piece count, bit for bit, and a range
+   that runs off the disk must still be refused. *)
+let test_sim_estimate_pieces () =
+  let disk, clock = make_disk () in
+  let g = Disk_sim.geometry disk in
+  let p = Disk_sim.profile disk in
+  let n = g.Geometry.sectors_per_track in
+  let total = Geometry.total_sectors g in
+  let prng = Prng.create ~seed:0xE57L in
+  for i = 1 to 400 do
+    if i mod 7 = 0 then
+      ignore (Disk_sim.write disk ~lba:(Prng.int prng (total - 8)) (Bytes.make 512 'h'));
+    let lba = if i mod 5 = 0 then (Prng.int prng (total / n) * n) - 1 else Prng.int prng total in
+    let lba = max 0 lba in
+    let sectors = min (total - lba) (Prng.int prng (4 * n)) in
+    let expected =
+      if sectors <= 0 then 0.
+      else begin
+        let a = Geometry.addr_of_lba g lba in
+        let pieces = ref 1 in
+        for s = lba + 1 to lba + sectors - 1 do
+          if s mod n = 0 then incr pieces
+        done;
+        let mv = Disk_sim.move_cost disk ~cyl:a.Geometry.cyl ~track:a.Geometry.track in
+        let rot =
+          Disk_sim.rotational_delay_to disk ~track_index:(Geometry.track_index g a)
+            ~sector:a.Geometry.sector ~at:(Clock.now clock +. mv)
+        in
+        mv +. rot
+        +. (float_of_int sectors *. Profile.sector_ms p)
+        +. (float_of_int (!pieces - 1) *. p.Profile.head_switch_ms)
+      end
+    in
+    let got = Disk_sim.estimate_access disk ~lba ~sectors in
+    if Int64.bits_of_float expected <> Int64.bits_of_float got then
+      Alcotest.failf "lba %d sectors %d: expected %h, got %h" lba sectors expected got
+  done;
+  List.iter
+    (fun (lba, sectors) ->
+      Alcotest.check_raises
+        (Printf.sprintf "lba %d sectors %d" lba sectors)
+        (Invalid_argument "Geometry.addr_of_lba: lba out of range")
+        (fun () -> ignore (Disk_sim.estimate_access disk ~lba ~sectors)))
+    [ (total - 4, 8); (total, 1); (-1, 4); (total - n, n + 1) ];
+  check_float "empty range" 0. (Disk_sim.estimate_access disk ~lba:total ~sectors:0)
+
 let test_sim_stats () =
   let disk, _ = make_disk () in
   ignore (Disk_sim.write disk ~lba:0 (Bytes.make 512 'x'));
@@ -417,6 +465,7 @@ let suites =
         Alcotest.test_case "move cost" `Quick test_sim_move_cost;
         Alcotest.test_case "multi-track run" `Quick test_sim_multi_track_run;
         Alcotest.test_case "estimate close" `Quick test_sim_estimate_close_to_actual;
+        Alcotest.test_case "estimate counts pieces" `Quick test_sim_estimate_pieces;
         Alcotest.test_case "stats" `Quick test_sim_stats;
         Alcotest.test_case "bounds" `Quick test_sim_bounds;
       ] );
