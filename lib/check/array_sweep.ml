@@ -137,14 +137,13 @@ let block_of_name n =
    logical block, always present, its content whatever the volume reads
    back (errors surface honestly as [`Io]). *)
 let view_of c vol =
+  let read = (Volume.device vol).Blockdev.Device.read in
   {
     Oracle.v_files = (fun () -> List.init c.logical_blocks bname);
     v_size = (fun _ -> Some (Volume.block_bytes vol));
     v_read_block =
       (fun name _fb ->
-        let b = block_of_name name in
-        let at = Clock.now (Volume.clock vol) in
-        match Volume.read_result_at vol ~at b with
+        match read (block_of_name name) with
         | Ok (data, _) -> Ok data
         | Error _ -> Error `Io);
   }
@@ -198,6 +197,7 @@ let run_cell (c : config) { array; fault; depth; phase; case } =
       ~prng:(Prng.split prng) ()
   in
   let bb = Volume.block_bytes vol in
+  let dev = Volume.device vol in
   let fails = ref [] in
   let failf fmt = Printf.ksprintf (fun m -> fails := m :: !fails) fmt in
   let now () = Clock.now clock in
@@ -301,11 +301,10 @@ let run_cell (c : config) { array; fault; depth; phase; case } =
         (* native host queue: depth requests in flight, fault mid-drain *)
         let ids =
           List.map
-            (fun b ->
-              (b, Volume.submit_req vol (Blockdev.Device.Write (b, buf tag))))
+            (fun b -> (b, dev.Blockdev.Device.submit (Blockdev.Device.Write (b, buf tag))))
             blocks
         in
-        let acks = Volume.drain_reqs vol in
+        let acks = dev.Blockdev.Device.drain () in
         List.filter_map
           (fun (b, id) ->
             match List.assoc_opt id acks with
@@ -328,11 +327,10 @@ let run_cell (c : config) { array; fault; depth; phase; case } =
     (match phase with
     | P_drain ->
       List.iter
-        (fun b -> ignore (Volume.submit_req vol (Blockdev.Device.Read b)))
+        (fun b -> ignore (dev.Blockdev.Device.submit (Blockdev.Device.Read b)))
         rblocks;
-      ignore (Volume.drain_reqs vol)
-    | P_batch | P_rebuild ->
-      ignore (Volume.read_batch_report vol ~at:(now ()) rblocks));
+      ignore (dev.Blockdev.Device.drain ())
+    | P_batch | P_rebuild -> ignore (Volume.read_batch vol ~at:(now ()) rblocks));
     if phase = P_rebuild then Volume.idle vol 8.
   done;
   (* Quiesce: suspects resolved, rebuilds finished or honestly
@@ -344,10 +342,11 @@ let run_cell (c : config) { array; fault; depth; phase; case } =
   let required = loss_required array fault phase in
   (* Online judgement. *)
   let scan_failures v =
+    let read = (Volume.device v).Blockdev.Device.read in
     List.length
       (List.filter
          (fun b ->
-           match Volume.read_result_at v ~at:(Clock.now (Volume.clock v)) b with
+           match read b with
            | Ok _ -> false
            | Error _ -> true)
          (List.init c.logical_blocks Fun.id))

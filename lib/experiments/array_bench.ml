@@ -196,12 +196,10 @@ let run_rebuild ?(seed = 0) ~scale mode =
       ~disks ~prng ()
   in
   let bs = Volume.block_bytes vol in
+  let dev = Volume.device vol in
   (* Prefill so the resilver has real content to copy. *)
   for b = 0 to blocks - 1 do
-    match
-      Volume.write_result_at vol ~at:(Clock.now clock) b
-        (Bytes.make bs (Char.chr (65 + (b mod 26))))
-    with
+    match dev.Blockdev.Device.write b (Bytes.make bs (Char.chr (65 + (b mod 26)))) with
     | Ok _ -> ()
     | Error _ -> failwith "array rebuild: prefill failed"
   done;
@@ -220,7 +218,7 @@ let run_rebuild ?(seed = 0) ~scale mode =
   for i = 0 to n_ops - 1 do
     let at = t0 +. (float_of_int i *. gap_ms) in
     let b = Prng.int prng blocks in
-    (match Volume.write_result_at vol ~at b (Bytes.make bs 'f') with
+    (match Volume.write_batch vol ~at [ (b, Bytes.make bs 'f') ] with
     | Ok _ -> lats := (Clock.now clock -. at) :: !lats
     | Error _ -> failwith "array rebuild: foreground write failed");
     match mode with

@@ -114,7 +114,7 @@ let run_shard ?(trace = false) cfg ~shard ops =
       (fun o ->
         let buf = Bytes.make bs (Char.chr (Char.code 'a' + (o.o_tenant mod 26))) in
         let owner = "t" ^ string_of_int o.o_tenant in
-        match Volume.write_result_at vol ~owner ~at:o.o_at o.o_block buf with
+        match Volume.write_batch vol ~owner ~at:o.o_at [ (o.o_block, buf) ] with
         | Ok _ -> (o.o_tenant, o.o_at, Clock.now clock -. o.o_at)
         | Error e ->
           failwith

@@ -127,7 +127,6 @@ let leg_uid_counter = ref 0
 type host_req = {
   hr_tag : int;
   hr_at : float;
-  hr_owner : string option;
   hr_req : Blockdev.Device.req;
 }
 
@@ -419,12 +418,18 @@ let evict_leg t leg =
     t.prng;
   Trace.incr t.trace "vol.legs_evicted"
 
-let kill_leg t leg =
+(* Every death goes through here: the leg is marked dead, its in-flight
+   tags are orphaned (the generation bump), and a half-built resilver
+   target is evicted. *)
+let retire t leg =
   let was_rebuilding = leg.state = `Rebuilding in
   leg.state <- `Dead;
   leg.gen <- leg.gen + 1;
   Trace.incr t.trace "vol.leg_deaths";
-  if was_rebuilding then evict_leg t leg;
+  if was_rebuilding then evict_leg t leg
+
+let kill_leg t leg =
+  retire t leg;
   (* a spare can only help while some other leg of the group still holds
      a full copy to resilver from: a peer that is itself mid-resilver
      cannot seed one, and when this death leaves no complete peer,
@@ -752,11 +757,8 @@ let rebuild_to_completion t =
            survive a crash as a trusted-looking husk. *)
         iter_legs t (fun _ leg ->
             if leg.state = `Rebuilding then begin
-              leg.state <- `Dead;
-              leg.gen <- leg.gen + 1;
-              Trace.incr t.trace "vol.leg_deaths";
-              Trace.incr t.trace "vol.rebuild_abandoned";
-              evict_leg t leg
+              retire t leg;
+              Trace.incr t.trace "vol.rebuild_abandoned"
             end)
   in
   go ()
@@ -1075,9 +1077,19 @@ let gather_group_read t (ctbl : ctbl) ~at ?owner rtx =
   | Some s ->
     attempt None [] s (Hashtbl.find ctbl (s.s_leg.uid, s.s_tag)) rtx.rt_rest
 
-(* ---- Scatter/gather execution of host requests ---- *)
+(* ---- The engine entry ----
 
-(* Structured per-block outcome of one batch window.  A mid-window leg
+   Every volume operation enters through one entry per direction.  It
+   refuses a bad block or buffer before anything is submitted, moves
+   the clock to the arrival [at], opens the operation's one [vol.*]
+   span, scatters every block's commands at [at], services each
+   involved leg once in its own window (the leg's queue policy reorders
+   within it), gathers in block order, and leaves the clock at the
+   operation's completion — the latest awaited leg — so [Clock.now -
+   at] is the operation's latency even when [at] precedes the clock at
+   the call.
+
+   The result is the structured per-block outcome.  A mid-window leg
    fault forces a partial gather: some blocks land (possibly degraded,
    their missed copies DRL'd), others fail outright.  The report names
    exactly which, so a degraded-mode retry re-submits only [*_failed] —
@@ -1092,18 +1104,40 @@ type write_report = {
   wr_bd : Breakdown.t;
 }
 
-type read_report = {
-  rr_data : (int * Bytes.t * Breakdown.t) list;
+type read_outcome = {
+  rr_data : (Bytes.t * Breakdown.t) list;  (* blocks read, request order *)
   rr_failed : block_error list;
+  rr_bd : Breakdown.t;
 }
 
-(* Service the write scatter of one host request: all group blocks'
-   commands are submitted at the arrival instant, every involved leg is
-   serviced once in its own window (the leg's queue policy reorders
-   within the window), and the gathers run in block order.  The
-   operation completes at the latest awaited leg across all blocks. *)
-let exec_writes_report t ~at ?owner items =
+(* An empty operation is refused like an empty run. *)
+let check_blocks t blocks =
+  if blocks = [] || List.exists (fun b -> b < 0 || b >= t.logical_blocks) blocks
+  then invalid_arg "Volume: logical block range out of bounds"
+
+let open_span t name blocks =
+  if Trace.enabled t.trace then
+    Trace.enter t.trace
+      ~attrs:
+        [
+          ("block", string_of_int (List.hd blocks));
+          ("count", string_of_int (List.length blocks));
+        ]
+      name
+  else Io.no_span
+
+(* The span closes at the completion; it carries the summed cost only
+   when every block succeeded, and its children's fold otherwise. *)
+let close_span t sp ~failed bd =
+  if failed = [] then Trace.exit t.trace ~bd sp else Trace.exit t.trace sp
+
+let write_entry t ~span ?owner ~at items =
+  let blocks = List.map fst items in
+  check_blocks t blocks;
+  if List.exists (fun (_, buf) -> Bytes.length buf <> t.block_bytes) items then
+    invalid_arg "Volume.write: buffer must be exactly one block";
   Clock.warp t.clock at;
+  let sp = open_span t span blocks in
   let txs =
     List.map
       (fun (b, buf) ->
@@ -1131,23 +1165,21 @@ let exec_writes_report t ~at ?owner items =
       | Error e -> failed := { be_block = tx.wt_block; be_error = e } :: !failed)
     txs;
   Clock.warp t.clock !completion;
-  {
-    wr_written = List.rev !written;
-    wr_failed = List.rev !failed;
-    wr_degraded = !degraded;
-    wr_bd = !bd;
-  }
+  close_span t sp ~failed:!failed !bd;
+  ( {
+      wr_written = List.rev !written;
+      wr_failed = List.rev !failed;
+      wr_degraded = !degraded;
+      wr_bd = !bd;
+    },
+    sp )
 
-let exec_writes t ~at ?owner items =
-  let r = exec_writes_report t ~at ?owner items in
-  match r.wr_failed with
-  | [] -> Ok r.wr_bd
-  | f :: _ -> Error f.be_error
-
-(* Read scatter: the first candidate of every block is submitted at the
-   arrival instant; failover rounds run per block at gather time. *)
-let exec_reads_report t ~at ?owner blocks =
+(* Reads submit the first candidate of every block at [at]; failover
+   rounds run per block at gather time. *)
+let read_entry t ~span ?owner ~at blocks =
+  check_blocks t blocks;
   Clock.warp t.clock at;
+  let sp = open_span t span blocks in
   let txs =
     List.map
       (fun b ->
@@ -1162,22 +1194,22 @@ let exec_reads_report t ~at ?owner blocks =
   let ctbl = run_legs t legs ~at in
   let completion = ref at in
   let data = ref [] and failed = ref [] in
+  let bd = ref Breakdown.zero in
   List.iter
     (fun tx ->
       let r, fin = gather_group_read t ctbl ~at ?owner tx in
       completion := Float.max !completion fin;
       match r with
-      | Ok (d, bd) -> data := (tx.rt_block, d, bd) :: !data
+      | Ok (d, b) ->
+        bd := Breakdown.add !bd b;
+        data := (d, b) :: !data
       | Error e -> failed := { be_block = tx.rt_block; be_error = e } :: !failed)
     txs;
   Clock.warp t.clock !completion;
-  { rr_data = List.rev !data; rr_failed = List.rev !failed }
+  close_span t sp ~failed:!failed !bd;
+  ({ rr_data = List.rev !data; rr_failed = List.rev !failed; rr_bd = !bd }, sp)
 
-let exec_reads t ~at ?owner blocks =
-  let r = exec_reads_report t ~at ?owner blocks in
-  match r.rr_failed with
-  | [] -> Ok (List.map (fun (_, d, bd) -> (d, bd)) r.rr_data)
-  | f :: _ -> Error f.be_error
+let first_error = function [] -> None | f :: _ -> Some f.be_error
 
 let group_trim t gi gb =
   Array.iter
@@ -1383,159 +1415,91 @@ let recover ?policy ?queue_policy ?spare ~layout ~leg_kind ~logical_blocks ~disk
           | None -> ());
     Ok (t, report)
 
-(* ---- The Device face ---- *)
-
-let check t block count =
-  if block < 0 || count <= 0 || block + count > t.logical_blocks then
-    invalid_arg "Volume: logical block range out of bounds"
-
-let dev_span t name block count =
-  if Trace.enabled t.trace then
-    Trace.enter t.trace
-      ~attrs:[ ("block", string_of_int block); ("count", string_of_int count) ]
-      name
-  else Io.no_span
-
-let read_result_at t ?owner ~at block =
-  check t block 1;
-  Clock.warp t.clock at;
-  let sp = dev_span t "vol.read" block 1 in
-  match exec_reads t ~at ?owner [ block ] with
-  | Ok [ (data, bd) ] ->
-    Trace.exit t.trace ~bd sp;
-    Ok (data, Io.make ~span:sp bd)
-  | Ok _ -> assert false
-  | Error e ->
-    Trace.exit t.trace sp;
-    Error e
-
-let write_result_at t ?owner ~at block buf =
-  check t block 1;
-  if Bytes.length buf <> t.block_bytes then
-    invalid_arg "Volume.write: buffer must be exactly one block";
-  Clock.warp t.clock at;
-  let sp = dev_span t "vol.write" block 1 in
-  match exec_writes t ~at ?owner [ (block, buf) ] with
-  | Ok bd ->
-    Trace.exit t.trace ~bd sp;
-    Ok (Io.make ~span:sp bd)
-  | Error e ->
-    Trace.exit t.trace sp;
-    Error e
-
-let read_run_result_at t ?owner ~at block count =
-  check t block count;
-  Clock.warp t.clock at;
-  let sp = dev_span t "vol.read_run" block count in
-  let blocks = List.init count (fun i -> block + i) in
-  match exec_reads t ~at ?owner blocks with
-  | Ok pieces ->
-    let out = Bytes.create (count * t.block_bytes) in
-    let bd = ref Breakdown.zero in
-    List.iteri
-      (fun i (data, cost) ->
-        Bytes.blit data 0 out (i * t.block_bytes) t.block_bytes;
-        bd := Breakdown.add !bd cost)
-      pieces;
-    Trace.exit t.trace ~bd:!bd sp;
-    Ok (out, Io.make ~span:sp !bd)
-  | Error e ->
-    Trace.exit t.trace sp;
-    Error e
-
-let write_run_result_at t ?owner ~at block buf =
-  if Bytes.length buf = 0 || Bytes.length buf mod t.block_bytes <> 0 then
-    invalid_arg "Volume.write_run: buffer must be whole blocks";
-  let count = Bytes.length buf / t.block_bytes in
-  check t block count;
-  Clock.warp t.clock at;
-  let sp = dev_span t "vol.write_run" block count in
-  let items =
-    List.init count (fun i ->
-        (block + i, Bytes.sub buf (i * t.block_bytes) t.block_bytes))
-  in
-  match exec_writes t ~at ?owner items with
-  | Ok bd ->
-    Trace.exit t.trace ~bd sp;
-    Ok (Io.make ~span:sp bd)
-  | Error e ->
-    Trace.exit t.trace sp;
-    Error e
-
-let write_batch t ?owner ~at items = exec_writes t ~at ?owner items
-let read_batch t ?owner ~at blocks = exec_reads t ~at ?owner blocks
+(* ---- The faces over the engine ---- *)
 
 let write_batch_report t ?owner ~at items =
-  exec_writes_report t ~at ?owner items
+  fst (write_entry t ~span:"vol.write_batch" ?owner ~at items)
 
-let read_batch_report t ?owner ~at blocks =
-  exec_reads_report t ~at ?owner blocks
+let write_batch t ?owner ~at items =
+  let r = write_batch_report t ?owner ~at items in
+  match first_error r.wr_failed with None -> Ok r.wr_bd | Some e -> Error e
 
-let read_result t block = read_result_at t ~at:(Clock.now t.clock) block
-let write_result t block buf = write_result_at t ~at:(Clock.now t.clock) block buf
+let read_batch t ?owner ~at blocks =
+  let r, _ = read_entry t ~span:"vol.read_batch" ?owner ~at blocks in
+  match first_error r.rr_failed with None -> Ok r.rr_data | Some e -> Error e
 
-let read_run_result t block count =
-  read_run_result_at t ~at:(Clock.now t.clock) block count
+(* The device's one-block and run operations: a run's blocks come back
+   in one buffer (a single block's is the leg's own), and the
+   completion carries the operation's span. *)
+let dev_read t ~at span block count =
+  let r, sp = read_entry t ~span ~at (List.init (max count 0) (fun i -> block + i)) in
+  match (first_error r.rr_failed, r.rr_data) with
+  | Some e, _ -> Error e
+  | None, [ (data, _) ] -> Ok (data, Io.make ~span:sp r.rr_bd)
+  | None, pieces ->
+    let out = Bytes.create (count * t.block_bytes) in
+    List.iteri
+      (fun i (data, _) -> Bytes.blit data 0 out (i * t.block_bytes) t.block_bytes)
+      pieces;
+    Ok (out, Io.make ~span:sp r.rr_bd)
 
-let write_run_result t block buf =
-  write_run_result_at t ~at:(Clock.now t.clock) block buf
+let dev_write t ~at span items =
+  let r, sp = write_entry t ~span ~at items in
+  match first_error r.wr_failed with
+  | None -> Ok (Io.make ~span:sp r.wr_bd)
+  | Some e -> Error e
+
+(* A run is sliced into blocks; a ragged tail becomes a short last
+   block, which the engine refuses. *)
+let run_items t block buf =
+  let bs = t.block_bytes and len = Bytes.length buf in
+  List.init ((len + bs - 1) / bs) (fun i ->
+      (block + i, Bytes.sub buf (i * bs) (min bs (len - (i * bs)))))
+
+let exec_req t ~at : Blockdev.Device.req -> Blockdev.Device.ack =
+  let data = Result.map (fun (d, c) -> Blockdev.Device.Data (d, c)) in
+  let done_ = Result.map (fun c -> Blockdev.Device.Done c) in
+  function
+  | Blockdev.Device.Read b -> data (dev_read t ~at "vol.read" b 1)
+  | Blockdev.Device.Read_run (b, n) -> data (dev_read t ~at "vol.read_run" b n)
+  | Blockdev.Device.Write (b, buf) -> done_ (dev_write t ~at "vol.write" [ (b, buf) ])
+  | Blockdev.Device.Write_run (b, buf) ->
+    done_ (dev_write t ~at "vol.write_run" (run_items t b buf))
 
 (* ---- Native host queue ----
 
-   Unlike the [sync_queue] host FIFO the volume used to wrap, the
-   native front keeps per-request arrival timestamps: requests drain in
-   submission order, each starting at its own arrival on whatever legs
-   it touches, so requests on disjoint spindles overlap and requests on
-   the same spindle pipeline through [busy_until].  Arrivals may lie
-   anywhere on the timeline (a closed-loop driver submits the
-   replacement op at the completion instant of its predecessor, which
-   can precede the clock after a barrier). *)
+   The device's submit/poll/drain keep per-request arrival timestamps:
+   requests drain in submission order, each starting at its own arrival
+   on whatever legs it touches, so requests on disjoint spindles
+   overlap and requests on the same spindle pipeline through
+   [busy_until]. *)
 
-let submit_req ?at ?owner t req =
-  let at = match at with Some a -> a | None -> Clock.now t.clock in
+let host_submit t req =
   let tag = t.host_next in
   t.host_next <- tag + 1;
-  t.host_q <- { hr_tag = tag; hr_at = at; hr_owner = owner; hr_req = req } :: t.host_q;
+  t.host_q <- { hr_tag = tag; hr_at = Clock.now t.clock; hr_req = req } :: t.host_q;
   tag
 
-let exec_req t ~at ?owner : Blockdev.Device.req -> Blockdev.Device.ack = function
-  | Blockdev.Device.Read b -> (
-    match read_result_at t ?owner ~at b with
-    | Ok (d, c) -> Ok (Blockdev.Device.Data (d, c))
-    | Error e -> Error e)
-  | Blockdev.Device.Read_run (b, n) -> (
-    match read_run_result_at t ?owner ~at b n with
-    | Ok (d, c) -> Ok (Blockdev.Device.Data (d, c))
-    | Error e -> Error e)
-  | Blockdev.Device.Write (b, buf) -> (
-    match write_result_at t ?owner ~at b buf with
-    | Ok c -> Ok (Blockdev.Device.Done c)
-    | Error e -> Error e)
-  | Blockdev.Device.Write_run (b, buf) -> (
-    match write_run_result_at t ?owner ~at b buf with
-    | Ok c -> Ok (Blockdev.Device.Done c)
-    | Error e -> Error e)
-
-let poll_reqs t =
+let host_poll t =
   let acks = List.rev t.host_done in
   t.host_done <- [];
   acks
 
-let drain_reqs t =
+let host_drain t =
   let reqs = List.rev t.host_q in
   t.host_q <- [];
   let end_ = ref (Clock.now t.clock) in
   List.iter
     (fun hr ->
-      let ack = exec_req t ~at:hr.hr_at ?owner:hr.hr_owner hr.hr_req in
+      let ack = exec_req t ~at:hr.hr_at hr.hr_req in
       end_ := Float.max !end_ (Clock.now t.clock);
       t.host_done <- (hr.hr_tag, ack) :: t.host_done)
     reqs;
   Clock.warp t.clock !end_;
-  poll_reqs t
+  host_poll t
 
 let trim t block =
-  check t block 1;
+  check_blocks t [ block ];
   let gi, gb = locate t block in
   group_trim t gi gb
 
@@ -1579,13 +1543,14 @@ let device t =
     block_bytes = t.block_bytes;
     n_blocks = t.logical_blocks;
     trace = t.trace;
-    read = read_result t;
-    read_run = read_run_result t;
-    write = write_result t;
-    write_run = write_run_result t;
-    submit = (fun req -> submit_req t req);
-    poll = (fun () -> poll_reqs t);
-    drain = (fun () -> drain_reqs t);
+    read = (fun b -> dev_read t ~at:(Clock.now t.clock) "vol.read" b 1);
+    read_run = (fun b n -> dev_read t ~at:(Clock.now t.clock) "vol.read_run" b n);
+    write = (fun b buf -> dev_write t ~at:(Clock.now t.clock) "vol.write" [ (b, buf) ]);
+    write_run =
+      (fun b buf -> dev_write t ~at:(Clock.now t.clock) "vol.write_run" (run_items t b buf));
+    submit = (fun req -> host_submit t req);
+    poll = (fun () -> host_poll t);
+    drain = (fun () -> host_drain t);
     trim = trim t;
     idle = idle t;
     utilization = (fun () -> utilization t);
@@ -1602,7 +1567,6 @@ let legs_per_group t = Array.length t.groups.(0)
 let group_blocks t = t.group_blocks
 let logical_blocks t = t.logical_blocks
 let block_bytes t = t.block_bytes
-let clock t = t.clock
 
 let disks t =
   Array.concat (Array.to_list (Array.map (Array.map (fun leg -> leg.disk)) t.groups))
@@ -1633,11 +1597,7 @@ let degraded t =
 
 let kill t ~group ~leg =
   let l = t.groups.(group).(leg) in
-  if l.state <> `Dead then begin
-    l.state <- `Dead;
-    l.gen <- l.gen + 1;
-    Trace.incr t.trace "vol.leg_deaths"
-  end
+  if l.state <> `Dead then retire t l
 
 let start_rebuild t ~group ~leg =
   let l = t.groups.(group).(leg) in

@@ -18,15 +18,18 @@
 
     Data path: each leg owns a tagged {!Disk.Disk_queue.t} (SATF by
     default for VLD legs, FIFO for regular legs) and a private
-    [busy_until] timeline on the shared clock.  A volume operation
-    scatters per-leg commands, runs each leg's queue in its own window
-    — warping the shared clock to each leg's dispatch instant — and
-    gathers completions; a mirror write therefore completes at the
-    {e max} of the legs' service times, not their sum, and striped
-    operations fan out across spindles concurrently.  Rebuild copies
-    ride the target leg's queue as low-priority background tags with a
-    duty-cycle throttle ({!policy.rebuild_util}), so resilvering steals
-    bounded bandwidth from foreground I/O instead of blocking it.
+    [busy_until] timeline on the shared clock.  Every operation — the
+    device's [read]/[read_run]/[write]/[write_run], its host queue, and
+    the batch forms below — enters one engine per direction, which
+    checks the blocks and buffers, scatters per-leg commands at the
+    arrival instant, runs each leg's queue in its own window — warping
+    the shared clock to each leg's dispatch instant — and gathers
+    completions; a mirror write therefore completes at the {e max} of
+    the legs' service times, not their sum, and striped operations fan
+    out across spindles concurrently.  Rebuild copies ride the target
+    leg's queue as low-priority background tags with a duty-cycle
+    throttle ({!policy.rebuild_util}), so resilvering steals bounded
+    bandwidth from foreground I/O instead of blocking it.
     Administrative paths (probe, resync, settle, {!rebuild_to_completion})
     stay sequential on the shared clock. *)
 
@@ -111,51 +114,34 @@ val recover :
     honest data loss. *)
 
 val device : t -> Blockdev.Device.t
-(** The volume as a block device.  [submit]/[poll]/[drain] are native:
-    requests drain in submission order, each starting at its own arrival
-    timestamp on whatever legs it touches, so requests on disjoint
-    spindles overlap in simulated time.  [idle] pumps rebuild background
-    copies and the VLD legs' compactors, each in its leg's own window. *)
+(** The volume as a block device.  [read]/[read_run]/[write]/[write_run]
+    arrive now and open [vol.read]/[vol.read_run]/[vol.write]/
+    [vol.write_run] spans.  [submit]/[poll]/[drain] are native:
+    requests arrive when submitted and drain in submission order, each
+    starting at its own arrival on whatever legs it touches, so
+    requests on disjoint spindles overlap in simulated time.  [idle]
+    pumps rebuild background copies and the VLD legs' compactors, each
+    in its leg's own window. *)
 
-(** {1 Native host queue}
+(** {1 Batches}
 
-    The same submit/poll/drain the device record wraps, with arrival
-    timestamps and tenant attribution exposed.  [submit_req ?at ?owner]
-    enqueues a request arriving at [at] (default now; may lie anywhere
-    on the timeline — a closed-loop driver submits each replacement op
-    at its predecessor's completion instant).  [owner] tags every disk
-    command the request scatters, feeding per-tenant latency histograms
-    in the legs' trace sinks. *)
+    For drivers that need exact per-operation completion instants, or
+    that drive the legs' queues to depth > 1.  A batch scatters a whole
+    set of blocks at one arrival [at] — every involved leg services its
+    commands in one window, its queue policy reordering within — and
+    opens one [vol.write_batch]/[vol.read_batch] span.  [owner] tags
+    every disk command the batch scatters, feeding per-tenant latency
+    histograms in the legs' trace sinks.
 
-val submit_req : ?at:float -> ?owner:string -> t -> Blockdev.Device.req -> int
-val poll_reqs : t -> (int * Blockdev.Device.ack) list
-val drain_reqs : t -> (int * Blockdev.Device.ack) list
+    Every batch leaves the clock {e at its own completion}, so
+    [Clock.now - at] is its latency — even when [at] precedes the clock
+    at the call, which is how a closed-loop driver submits each
+    replacement at its predecessor's completion instant.
 
-(** {1 Timestamped operations}
-
-    The engine underneath the host queue, for drivers that need exact
-    per-operation completion instants: each call executes one operation
-    arriving at [at] and leaves the clock {e at that operation's
-    completion}, so [Clock.now - at] is the operation's wall latency.
-    The batch forms scatter a whole set of blocks at one arrival — every
-    involved leg services its commands in one window (its queue policy
-    reorders within), which is how a host drives the legs' queues to
-    depth > 1. *)
-
-val read_result_at :
-  t ->
-  ?owner:string ->
-  at:float ->
-  int ->
-  (Bytes.t * Vlog_util.Io.completion, Blockdev.Device.io_error) result
-
-val write_result_at :
-  t ->
-  ?owner:string ->
-  at:float ->
-  int ->
-  Bytes.t ->
-  (Vlog_util.Io.completion, Blockdev.Device.io_error) result
+    Before anything is submitted, a batch that is empty, names a block
+    the volume does not have or carries a buffer that is not exactly
+    one block raises [Invalid_argument], as the device's operations
+    do. *)
 
 val write_batch :
   t ->
@@ -163,9 +149,8 @@ val write_batch :
   at:float ->
   (int * Bytes.t) list ->
   (Vlog_util.Breakdown.t, Blockdev.Device.io_error) result
-(** All writes arrive at [at]; the result breakdown is the sum of the
-    mechanical work of every successful leg command, while the clock
-    ends at the batch completion (the latest awaited leg). *)
+(** The first failing block's error, or the sum of the mechanical work
+    of every successful leg command. *)
 
 val read_batch :
   t ->
@@ -173,15 +158,17 @@ val read_batch :
   at:float ->
   int list ->
   ((Bytes.t * Vlog_util.Breakdown.t) list, Blockdev.Device.io_error) result
+(** The first failing block's error, or every block's payload and cost
+    in request order. *)
 
-(** {2 Structured batch reports}
+(** {2 The structured write report}
 
-    [write_batch]/[read_batch] report only the first failing block.
-    When a leg faults {e mid-window} the batch gathers partially — some
-    blocks land (possibly degraded), others fail — and a degraded-mode
-    retry must know exactly which, or it will re-submit commands that
-    already completed.  The [_report] variants return the full
-    per-block outcome instead of first-error-wins. *)
+    [write_batch] reports only the first failing block.  When a leg
+    faults {e mid-window} the batch gathers partially — some blocks
+    land (possibly degraded), others fail — and a degraded-mode retry
+    must know exactly which, or it will re-submit commands that already
+    completed.  [write_batch_report] returns the full per-block outcome
+    instead of first-error-wins. *)
 
 type block_error = { be_block : int; be_error : Blockdev.Device.io_error }
 
@@ -195,21 +182,15 @@ type write_report = {
   wr_bd : Vlog_util.Breakdown.t;
 }
 
-type read_report = {
-  rr_data : (int * Bytes.t * Vlog_util.Breakdown.t) list;
-      (** blocks read (block, payload, mechanical cost), request order *)
-  rr_failed : block_error list;
-}
-
 val write_batch_report :
   t -> ?owner:string -> at:float -> (int * Bytes.t) list -> write_report
-
-val read_batch_report : t -> ?owner:string -> at:float -> int list -> read_report
 
 (** {1 Failure management} *)
 
 val kill : t -> group:int -> leg:int -> unit
-(** Administratively retire a leg (no spare swap, no probation). *)
+(** Administratively retire a leg (no spare swap, no probation).  A
+    resilver target is evicted as it dies, so its half-built copy never
+    comes back from a remount as a trusted replica. *)
 
 val start_rebuild : t -> group:int -> leg:int -> (unit, string) result
 (** Resilver a [Dead] leg onto a hot spare.  [Error] if the leg is not
@@ -255,7 +236,6 @@ val legs_per_group : t -> int
 val group_blocks : t -> int
 val logical_blocks : t -> int
 val block_bytes : t -> int
-val clock : t -> Vlog_util.Clock.t
 
 val disks : t -> Disk.Disk_sim.t array
 (** Current drive of every leg, group-major; spares appear in place of

@@ -286,6 +286,108 @@ let test_stripe_fans_out () =
        read4)
     true (read4 < read1)
 
+(* The batch faces check what the device faces check, before anything
+   is submitted: a block the volume does not have or a buffer that is
+   not one block raises the device faces' message, the clock does not
+   move, and no block changes — not even one named earlier in the
+   refused batch. *)
+let test_batch_refuses_bad_ops () =
+  let clock = Clock.create () in
+  let disks = Array.init 2 (fun _ -> mk_disk clock) in
+  let vol =
+    Volume.create ~layout:(Volume.Stripe 2) ~leg_kind:Volume.Vld_leg
+      ~logical_blocks:5 ~disks ~prng:(Prng.create ~seed:45L) ()
+  in
+  let block tag = Bytes.make (Volume.block_bytes vol) tag in
+  (match Volume.write_batch vol ~at:(Clock.now clock) (List.init 5 (fun b -> (b, block 'A'))) with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "prefill failed");
+  let range = Invalid_argument "Volume: logical block range out of bounds" in
+  let short = Invalid_argument "Volume.write: buffer must be exactly one block" in
+  let refused what exn f =
+    let before = Clock.now clock in
+    Alcotest.check_raises what exn (fun () -> ignore (f ~at:before));
+    Alcotest.(check (float 0.)) (what ^ ": clock did not move") before (Clock.now clock)
+  in
+  List.iter
+    (fun (what, exn, items) ->
+      refused ("write_batch, " ^ what) exn (fun ~at -> Volume.write_batch vol ~at items);
+      refused ("write_batch_report, " ^ what) exn (fun ~at ->
+          Volume.write_batch_report vol ~at items))
+    [
+      ("negative block", range, [ (0, block 'B'); (-1, block 'B') ]);
+      ("past the end", range, [ (0, block 'B'); (5, block 'B') ]);
+      ("short buffer", short, [ (0, block 'B'); (1, Bytes.make 100 'B') ]);
+      ("empty batch", range, []);
+    ];
+  List.iter
+    (fun (what, blocks) ->
+      refused ("read_batch, " ^ what) range (fun ~at -> Volume.read_batch vol ~at blocks))
+    [ ("negative block", [ 0; -1 ]); ("past the end", [ 0; 5 ]); ("empty batch", []) ];
+  (* the device faces enter the same checks *)
+  let dev = Volume.device vol in
+  let bs = Volume.block_bytes vol in
+  List.iter
+    (fun (what, exn, f) -> refused ("device " ^ what) exn (fun ~at:_ -> f ()))
+    [
+      ("read past the end", range, fun () -> ignore (dev.Blockdev.Device.read 5));
+      ("empty read_run", range, fun () -> ignore (dev.Blockdev.Device.read_run 0 0));
+      ("read_run past the end", range, fun () -> ignore (dev.Blockdev.Device.read_run 4 2));
+      ("short write", short, fun () -> ignore (dev.Blockdev.Device.write 0 (Bytes.make 100 'B')));
+      ( "ragged write_run",
+        short,
+        fun () -> ignore (dev.Blockdev.Device.write_run 0 (Bytes.make (bs + 100) 'B')) );
+      ( "write_run past the end",
+        range,
+        fun () -> ignore (dev.Blockdev.Device.write_run 4 (Bytes.make (2 * bs) 'B')) );
+    ];
+  for b = 0 to 4 do
+    let data, _ = Blockdev.Device.read dev b in
+    Alcotest.(check bytes) (Printf.sprintf "block %d unchanged" b) (block 'A') data
+  done
+
+(* A batch leaves the clock at its own completion: arrival plus its own
+   service, even when an earlier operation on another leg left the
+   clock later than that.  Tenants and the array bench measure latency
+   as [Clock.now - at] on exactly this.  The first write puts two
+   blocks on leg 0, so it outlasts the one-block second write on leg 1;
+   the expected service comes from a twin volume that runs the second
+   write alone. *)
+let test_batch_completes_at_own_instant () =
+  let mk () =
+    let clock = Clock.create () in
+    let disks = Array.init 2 (fun _ -> mk_disk clock) in
+    let vol =
+      Volume.create ~layout:(Volume.Stripe 2) ~leg_kind:Volume.Vld_leg
+        ~logical_blocks ~disks ~prng:(Prng.create ~seed:46L) ()
+    in
+    (vol, clock)
+  in
+  let write vol ~at blocks =
+    let w = Bytes.make (Volume.block_bytes vol) 'W' in
+    match Volume.write_batch vol ~at (List.map (fun b -> (b, w)) blocks) with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "write failed"
+  in
+  let vol, clock = mk () in
+  let t0 = Clock.now clock in
+  (* even blocks live on leg 0, odd blocks on leg 1 *)
+  write vol ~at:t0 [ 0; 2 ];
+  let first_done = Clock.now clock in
+  let at = t0 +. 0.05 in
+  Alcotest.(check bool) "the second write arrives before the first completes" true
+    (at < first_done);
+  write vol ~at [ 1 ];
+  let twin, twin_clock = mk () in
+  write twin ~at [ 1 ];
+  Alcotest.(check (float 0.)) "clock = arrival + the write's own service"
+    (Clock.now twin_clock) (Clock.now clock);
+  Alcotest.(check bool)
+    (Printf.sprintf "the clock went back to the completion (%.4f < %.4f)"
+       (Clock.now clock) first_done)
+    true
+    (Clock.now clock < first_done)
+
 (* The layout parser is the printer's inverse, and each malformed form
    keeps its message. *)
 let test_layout_codec () =
@@ -339,5 +441,9 @@ let suites =
         Alcotest.test_case "mirror write = max of legs" `Quick
           test_mirror_write_completes_at_max_of_legs;
         Alcotest.test_case "stripe fans out" `Quick test_stripe_fans_out;
+        Alcotest.test_case "batches refuse bad blocks and buffers" `Quick
+          test_batch_refuses_bad_ops;
+        Alcotest.test_case "a batch completes at its own instant" `Quick
+          test_batch_completes_at_own_instant;
       ] );
   ]

@@ -26,6 +26,7 @@ let mk_mirror ?spare clock =
   (vol, disks)
 
 let buf vol tag = Bytes.make (Volume.block_bytes vol) tag
+let read vol b = (Volume.device vol).Blockdev.Device.read b
 
 let check_clean what vol =
   let r = Volume_check.check vol in
@@ -72,7 +73,7 @@ let test_mirror_batch_death_mid_window () =
     failed;
   List.iter
     (fun b ->
-      match Volume.read_result_at vol ~at:(Clock.now clock) b with
+      match read vol b with
       | Ok (d, _) ->
         Alcotest.(check char)
           (Printf.sprintf "block %d holds the new content" b)
@@ -119,7 +120,7 @@ let test_batch_retry_residue () =
   Volume.settle vol;
   List.iter
     (fun b ->
-      match Volume.read_result_at vol ~at:(Clock.now clock) b with
+      match read vol b with
       | Ok (d, _) ->
         let c = Bytes.get d 0 in
         if c <> 'A' && c <> 'B' then
@@ -142,7 +143,7 @@ let test_batch_retry_residue () =
   List.iter
     (fun b ->
       let want = if List.mem b failed1 then 'C' else 'B' in
-      match Volume.read_result_at vol ~at:(Clock.now clock) b with
+      match read vol b with
       | Ok (d, _) ->
         Alcotest.(check char)
           (Printf.sprintf "block %d applied once" b)
@@ -175,7 +176,7 @@ let test_rebuild_under_hung_source () =
   for i = 0 to 39 do
     let at = Float.max (Clock.now clock) (t0 +. (float_of_int i *. gap_ms)) in
     let b = (i * 7) mod logical_blocks in
-    (match Volume.write_result_at vol ~at b (buf vol 'F') with
+    (match Volume.write_batch vol ~at [ (b, buf vol 'F') ] with
     | Ok _ -> worst := Float.max !worst (Clock.now clock -. at)
     | Error _ -> Alcotest.failf "foreground write %d failed under hang" i);
     (* grant the time to the next arrival as idle: the pump runs
@@ -197,13 +198,60 @@ let test_rebuild_under_hung_source () =
       (Volume.state_to_string s));
   check_clean "after rebuild under hang" vol;
   for b = 0 to logical_blocks - 1 do
-    match Volume.read_result_at vol ~at:(Clock.now clock) b with
+    match read vol b with
     | Ok (d, _) ->
       let c = Bytes.get d 0 in
       if c <> 'A' && c <> 'F' then
         Alcotest.failf "block %d holds fabricated content %C" b c
     | Error _ -> Alcotest.failf "block %d unreadable after rebuild" b
   done
+
+(* ---- killing a resilver target evicts it ---- *)
+
+(* An administrative kill of a leg mid-resilver retires it like every
+   other death of a resilver target: the half-built copy is evicted.
+   Kept, it would recover as a healthy leg at remount, become the
+   resync primary (it is the lowest-index leg) and trim the good copy's
+   blocks it never received. *)
+let test_kill_rebuilding_evicts () =
+  let clock = Clock.create () in
+  let spare () = mk_disk clock in
+  let disks = Array.init 2 (fun _ -> mk_disk clock) in
+  let blocks = 64 in
+  let layout = Volume.Mirror 2 and leg_kind = Volume.Vld_leg in
+  let vol =
+    Volume.create ~spare ~layout ~leg_kind ~logical_blocks:blocks ~disks
+      ~prng:(Prng.create ~seed:43L) ()
+  in
+  (match
+     Volume.write_batch vol ~at:(Clock.now clock)
+       (List.init blocks (fun b -> (b, buf vol 'A')))
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "prefill failed");
+  Volume.kill vol ~group:0 ~leg:0;
+  (match Volume.start_rebuild vol ~group:0 ~leg:0 with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "start_rebuild: %s" e);
+  Volume.idle vol 40.;
+  (match Volume.state_of vol ~group:0 ~leg:0 with
+  | `Rebuilding c when c > 0 && c < blocks -> ()
+  | s -> Alcotest.failf "want a resilver part-way done, got %s" (Volume.state_to_string s));
+  Volume.kill vol ~group:0 ~leg:0;
+  match
+    Volume.recover ~layout ~leg_kind ~logical_blocks:blocks ~disks:(Volume.disks vol)
+      ~prng:(Prng.create ~seed:44L) ()
+  with
+  | Error e -> Alcotest.failf "recover: %s" e
+  | Ok (vol2, _) ->
+    for b = 0 to blocks - 1 do
+      match read vol2 b with
+      | Ok (d, _) ->
+        Alcotest.(check char) (Printf.sprintf "block %d survives" b) 'A' (Bytes.get d 0)
+      | Error _ -> Alcotest.failf "block %d unreadable after remount" b
+    done;
+    Alcotest.(check string) "the evicted target stays dead" "dead"
+      (Volume.state_to_string (Volume.state_of vol2 ~group:0 ~leg:0))
 
 let suites =
   [
@@ -215,5 +263,7 @@ let suites =
           test_batch_retry_residue;
         Alcotest.test_case "throttled rebuild survives a hung source" `Quick
           test_rebuild_under_hung_source;
+        Alcotest.test_case "killing a resilver target evicts it" `Quick
+          test_kill_rebuilding_evicts;
       ] );
   ]
